@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint ci fuzz bench bench-check perf figures figures-full clean
+.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint bench-build ci fuzz bench bench-check perf figures figures-full clean
 
 all: vet lint test build
 
@@ -105,8 +105,14 @@ stress:
 lint: build
 	$(GO) run ./cmd/bloc-lint -unused-ignores ./...
 
+# The serving benchmark (servebench/) is its own module, so `go test
+# ./...` never builds it: vet it against this tree with the environment
+# servebench/run.sh uses (no workspace, no inherited build flags).
+bench-build:
+	cd servebench && GOWORK=off GOFLAGS= $(GO) vet ./...
+
 # Everything CI runs, in CI's order.
-ci: vet lint test race soak chaos chaos-cells chaos-degrade drill overload stress
+ci: vet lint bench-build test race soak chaos chaos-cells chaos-degrade drill overload stress
 
 # Native fuzzing smoke pass: the wire protocol and the durable snapshot
 # decoder, each over its seed corpus (go test allows one -fuzz package
@@ -119,7 +125,7 @@ fuzz:
 # report: writes BENCH_3.json with latency, allocation and throughput
 # figures for the steady-state fix path.
 bench:
-	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarLikelihood$$|PolarToXY$$|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
+	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarFill32$$|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
 	$(GO) run ./cmd/bloc-bench -exp perf -bench-out BENCH_3.json
 
 # CI smoke: quick perf measurement compared against the committed report;

@@ -88,7 +88,7 @@ type tagState struct {
 	mu    sync.Mutex
 	cal   *core.Calibration              // guarded by mu; nil until calibrated or restored
 	trks  map[uint16]*track.Filter       // guarded by mu
-	last  map[uint16]int64               // unix nanos of each tag's last fused fix; guarded by mu
+	last  map[uint16]int64               // unix nanos of each tag's last filter update, accepted or gated out; guarded by mu
 	gates map[uint16]*core.GatePolicy    // per-tag gating hysteresis; guarded by mu
 	fps   map[uint16]*fingerprint.Filter // per-tag live-RSSI filters; guarded by mu
 	now   func() time.Time
@@ -187,7 +187,9 @@ func (ts *tagState) setCalibration(cal *core.Calibration) {
 
 // smooth runs one raw fix through the tag's Kalman tracker and returns
 // the smoothed position. A rejected (gated or non-finite) fix leaves the
-// coasted prediction as the estimate.
+// coasted prediction as the estimate. The filter predicts across dt even
+// for a gated-out fix, so the update clock advances whenever Update
+// succeeds, accepted or not; only an erroring update leaves it alone.
 func (ts *tagState) smooth(tag uint16, raw geom.Point) geom.Point {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -206,13 +208,15 @@ func (ts *tagState) smooth(tag uint16, raw geom.Point) geom.Point {
 		dt = float64(now-last) / float64(time.Second)
 	}
 	pos, ok, err := f.Update(raw, dt)
+	if err == nil {
+		ts.last[tag] = now
+	}
 	if err != nil || !ok {
 		if f.Initialized() {
 			return pos // coasted prediction
 		}
 		return raw
 	}
-	ts.last[tag] = now
 	return pos
 }
 

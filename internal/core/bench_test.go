@@ -7,9 +7,9 @@ import (
 	"bloc/internal/testbed"
 )
 
-// Micro-benchmarks for the likelihood kernels, optimized vs reference.
+// Micro-benchmarks for the likelihood kernels, production vs reference.
 // BenchmarkLocateSingleFix (package bloc) measures the end-to-end fix;
-// these isolate the two hot stages the tentpole optimizes.
+// these isolate the polar fill and the full-grid refinement it runs.
 
 func benchFixture(b *testing.B) (*Engine, *Alpha) {
 	b.Helper()
@@ -28,12 +28,17 @@ func benchFixture(b *testing.B) (*Engine, *Alpha) {
 	return e, a
 }
 
-func BenchmarkPolarLikelihood(b *testing.B) {
+// BenchmarkPolarFill32 fills one anchor's whole polar plane with the
+// production kernel at the default refinement strides.
+func BenchmarkPolarFill32(b *testing.B) {
 	e, a := benchFixture(b)
+	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	ps := e.planesFor(a.Freqs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.polarLikelihood(a, 1)
+		bfCoeffs(ps, a, 1, avp)
+		e.polarFill32(ps, a, 1, got, rowLo, rowHi, acc, avp)
 	}
 }
 
@@ -46,32 +51,14 @@ func BenchmarkPolarLikelihoodReference(b *testing.B) {
 	}
 }
 
-func BenchmarkPolarToXY(b *testing.B) {
-	e, a := benchFixture(b)
-	polar := e.polarLikelihood(a, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.polarToXY(polar, 1, 0)
-	}
-}
-
-func BenchmarkPolarToXYReference(b *testing.B) {
-	e, a := benchFixture(b)
-	polar := e.polarLikelihood(a, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.referencePolarToXY(polar, 1, 0)
-	}
-}
-
+// BenchmarkLikelihood is the full-grid combined surface: the refinement
+// routine with every tile selected.
 func BenchmarkLikelihood(b *testing.B) {
 	e, a := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.likelihoodCombined(a)
+		e.fullLikelihood(a, nil)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bloc/internal/dsp"
 	"bloc/internal/geom"
 )
 
@@ -41,14 +40,17 @@ type Config struct {
 	// NormalizePerAnchor scales each anchor's XY likelihood to unit
 	// maximum before summing, so near anchors do not drown far ones.
 	NormalizePerAnchor bool
-	// Gate tunes the prior-gated coarse-to-fine search (gated.go). Zero
-	// fields take their defaults in NewEngine.
+	// Gate tunes the prior-gated coarse-to-fine search and the
+	// refinement sweep every fix runs (gated.go). Zero fields take their
+	// defaults in NewEngine.
 	Gate GateConfig
 }
 
 // GateConfig tunes the two-stage gated search of LocateOpts: how much the
 // coarse pass decimates each grid, how refinement tiles are selected, and
-// when the gate refuses and falls back to the full-grid path.
+// when the gate refuses and falls back to the full-grid path. The
+// refinement strides and the tile size also shape every full-grid fix,
+// which runs the same refinement over every tile.
 type GateConfig struct {
 	// CoarseStep is the XY decimation of the coarse pass: every
 	// CoarseStep-th cell in each dimension is evaluated (default 4).
@@ -61,9 +63,9 @@ type GateConfig struct {
 	CoarseThetaStep int
 	CoarseDeltaStep int
 	// RefineDeltaStep is the Δ sampling stride of the full-resolution
-	// refinement sweep (default 4): polarFill32 evaluates every
-	// RefineDeltaStep-th column exactly and linearly interpolates the
-	// rest. The Δ magnitude profile is band-limited by the channel
+	// refinement sweep of every fix (default 4): polarFill32 evaluates
+	// every RefineDeltaStep-th column exactly and linearly interpolates
+	// the rest. The Δ magnitude profile is band-limited by the channel
 	// spread (correlation scale of meters against a few-centimeter
 	// grid), so 4 keeps the peak-cell error under 1%; 1 disables
 	// interpolation and recovers the exact sweep.
@@ -222,14 +224,10 @@ type Engine struct {
 	gatedSets map[int]*gatedTables // guarded by gatedMu
 
 	// Scratch pools (pool.go) and Stats counters.
-	polarPool *dsp.GridPool // (D × T) polar grids, span-filled (no zeroing)
-	xyPool    *dsp.GridPool // (nx × ny) per-anchor maps, zeroed on Get
-	floatPool sync.Pool     // *[]float64 accumulator planes / entropy windows
-	intPool   sync.Pool     // *[]int active-anchor lists
-	runPool   sync.Pool     // *likRun per-likelihood workspaces
-	gatedPool sync.Pool     // *gatedRun per-gated-fix workspaces
-	alphaPool sync.Pool     // *alphaBox corrected-channel workspaces
-	peakPool  sync.Pool     // *[]dsp.Peak peak-extraction scratch
+	floatPool sync.Pool // *[]float64 accumulator planes / entropy windows
+	gatedPool sync.Pool // *gatedRun per-fix likelihood workspaces
+	alphaPool sync.Pool // *alphaBox corrected-channel workspaces
+	peakPool  sync.Pool // *[]dsp.Peak peak-extraction scratch
 
 	statFixes       atomic.Uint64
 	statPlaneBuilds atomic.Uint64
@@ -250,7 +248,10 @@ type Engine struct {
 
 // Stats is a snapshot of the engine's performance counters.
 type Stats struct {
-	// Fixes counts completed Locate/LocateAlpha calls.
+	// Fixes counts successful BLoc fixes: every Locate, LocateRef,
+	// LocateAlpha, LocateOpts and LocateShortestDistance call that
+	// returned a Result, gated or full-grid. The baselines (AoA, MUSIC,
+	// RSSI, CTE) are not counted.
 	Fixes uint64
 	// PlaneBuilds counts steering-plane constructions: one per band plan
 	// the engine has served (a stable deployment sits at 1).
@@ -285,17 +286,14 @@ type Stats struct {
 	TilesRefined, TilesTotal uint64
 }
 
-// Stats returns the engine's cumulative performance counters, folding in
-// the grid-pool counters.
+// Stats returns the engine's cumulative performance counters.
 func (e *Engine) Stats() Stats {
-	ph, pm := e.polarPool.Counters()
-	xh, xm := e.xyPool.Counters()
 	return Stats{
 		Fixes:            e.statFixes.Load(),
 		PlaneBuilds:      e.statPlaneBuilds.Load(),
 		TableBytes:       e.statTableBytes.Load(),
-		PoolHits:         e.statPoolHits.Load() + ph + xh,
-		PoolMisses:       e.statPoolMisses.Load() + pm + xm,
+		PoolHits:         e.statPoolHits.Load(),
+		PoolMisses:       e.statPoolMisses.Load(),
 		ProjBuilds:       e.statProjBuilds.Load(),
 		RowsMasked:       e.statRowsMasked.Load(),
 		GatedFixes:       e.statGatedFixes.Load(),
@@ -383,8 +381,6 @@ func NewEngine(anchors []geom.Array, cfg Config) (*Engine, error) {
 	e.x0, e.y0 = cfg.Room.Min.X, cfg.Room.Min.Y
 
 	e.projSets = map[int][]anchorProj{0: e.buildProjectionsFor(0)}
-	e.polarPool = dsp.NewGridPool(len(e.deltas), len(e.thetas), false)
-	e.xyPool = dsp.NewGridPool(e.nx, e.ny, true)
 	return e, nil
 }
 

@@ -67,7 +67,7 @@ func (e *Engine) locateAlpha(a *Alpha, selector func([]Candidate) (Candidate, bo
 	if err := e.checkAlpha(a); err != nil {
 		return nil, err
 	}
-	grid := e.likelihoodCombined(a)
+	grid := e.fullLikelihood(a, nil)
 	cands := e.candidates(grid)
 	best, ok := selector(cands)
 	if !ok {

@@ -21,24 +21,25 @@ import (
 //     the coarse maximum), unioned with every tile the prior ellipse
 //     touches, dilated by one tile ring so peak neighborhoods and the
 //     entropy window stay covered.
-//  2. Only the selected tiles are refined at full resolution: the
-//     float32 polar kernel fills just the θ-row/Δ spans the tiles'
+//  2. Only the selected tiles are refined at full resolution (refine):
+//     the float32 polar kernel fills just the θ-row/Δ spans the tiles'
 //     projection cells sample, and the tiled SoA projection paints the
 //     selected cells into a fresh full-resolution grid, which then runs
 //     the ordinary peak extraction and Eq. 18 scoring.
 //
-// The gate refuses — and the fix falls back to the full-grid float64
-// path — whenever its assumptions fail: the coarse argmax lands outside
-// the (margin-grown) prior ellipse, the coarse surface is too flat to
-// select a small tile set, or the refined surface yields no scoreable
-// peak. The fallback keeps the reported CDF pinned to the full-grid
-// oracle; the gated path only decides *where* to look, never changes
-// what a looked-at cell evaluates to beyond float32 rounding.
+// Stage 2 is the only likelihood kernel: a full-grid fix (no prior,
+// track loss, or a gate fallback) runs the same refine with every tile
+// selected. The gate refuses — and the fix falls back to that full-grid
+// refinement on the same corrected channels — whenever its assumptions
+// fail: the coarse argmax lands outside the (margin-grown) prior
+// ellipse, the coarse surface is too flat to select a small tile set, or
+// the refined surface yields no scoreable peak. The gated path only
+// decides *where* to look: a looked-at cell goes through the kernel the
+// full-grid fix runs, and only the interpolation's sample phase (set by
+// the span) and the per-anchor normalization can differ.
 //
-// The whole gated fix runs sequentially on the calling goroutine: at the
-// sub-millisecond budget the work no longer amortizes parallelFor's
-// task hand-off, and serving-plane parallelism comes from concurrent
-// fixes, not from splitting one.
+// Every fix runs sequentially on the calling goroutine: serving-plane
+// parallelism comes from concurrent fixes, not from splitting one.
 
 // Prior is a spatial prior for the gated search: the tracker's
 // confidence ellipse (center, semi-axes in meters, orientation in
@@ -241,7 +242,7 @@ type coarseProj struct {
 }
 
 // anchorTiles regroups one anchor's full-resolution projection cells
-// (anchorProj.cells) by refinement tile, in SoA float32 lanes: tile ti's
+// (polarCells) by refinement tile, in SoA float32 lanes: tile ti's
 // cells occupy lane indices [off[ti], off[ti+1]). tLo/tHi and dLo/dHi
 // bound, per tile, the polar rows and Δ columns the tile's cells sample
 // (half-open), so the refinement kernel fills only what the selected
@@ -278,8 +279,8 @@ func (e *Engine) gatedFor(ref int) *gatedTables {
 }
 
 // buildGatedFor derives the coarse nearest-sample tables from the
-// deployment geometry and regroups the existing full-resolution
-// projection tables by tile.
+// deployment geometry and regroups the full-resolution projection cells
+// by tile.
 func (e *Engine) buildGatedFor(ref int) *gatedTables {
 	g := &e.cfg.Gate
 	cs, ts, ds, tc := g.CoarseStep, g.CoarseThetaStep, g.CoarseDeltaStep, g.TileCells
@@ -346,11 +347,10 @@ func (e *Engine) buildGatedFor(ref int) *gatedTables {
 		}
 	}
 
-	projs := e.projections(ref)
 	nt := gt.tnx * gt.tny
 	gt.tiles = make([]anchorTiles, len(e.anchors))
-	for i := range projs {
-		cells := projs[i].cells
+	for i := range e.anchors {
+		cells := e.polarCells(i, ref)
 		at := &gt.tiles[i]
 		at.off = make([]int32, nt+1)
 		at.tLo, at.tHi = make([]int32, nt), make([]int32, nt)
@@ -424,7 +424,6 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	g := &e.cfg.Gate
 	ps := e.planesFor(a.Freqs)
 	gt := e.gatedFor(a.Ref)
-	T, D := len(e.thetas), len(e.deltas)
 	I := a.NumAnchors()
 
 	r := e.getGatedRun()
@@ -445,7 +444,7 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	clear(r.ccomb)
 	r.cpolar = growF32(r.cpolar, gt.cT*gt.cD+1)
 	r.cpolar[gt.cT*gt.cD] = 0 // headroom slot for the saturated last Δ tap
-	r.acc = growF32(r.acc, 2*D)
+	r.acc = growF32(r.acc, 2*gt.cD)
 	r.cmax = growF64(r.cmax, I)
 	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
 	for _, i := range r.active {
@@ -540,8 +539,8 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	// argmax shift and keeps the Eq. 18 entropy window (±EntropyWindow/2
 	// · EntropyStride cells < TileCells) fully painted around any
 	// candidate.
-	r.dil = growBools(r.dil, nt)
-	clear(r.dil)
+	r.tiles = growBools(r.tiles, nt)
+	clear(r.tiles)
 	refined := 0
 	for ti, on := range r.sel {
 		if !on {
@@ -554,8 +553,8 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 				if qx < 0 || qx >= gt.tnx || qy < 0 || qy >= gt.tny {
 					continue
 				}
-				if !r.dil[qy*gt.tnx+qx] {
-					r.dil[qy*gt.tnx+qx] = true
+				if !r.tiles[qy*gt.tnx+qx] {
+					r.tiles[qy*gt.tnx+qx] = true
 					refined++
 				}
 			}
@@ -571,88 +570,15 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 		for tix := 0; tix < gt.tnx; tix++ {
 			center := e.CellCenter(tix*g.TileCells+g.TileCells/2, tiy*g.TileCells+g.TileCells/2)
 			ti := tiy*gt.tnx + tix
-			if !r.dil[ti] && prior.Contains(center, halfDiag) {
-				r.dil[ti] = true
+			if !r.tiles[ti] && prior.Contains(center, halfDiag) {
+				r.tiles[ti] = true
 				refined++
 			}
 		}
 	}
 
 	// ---- Stage 2: full-resolution refinement of the selected tiles. ----
-	combined := dsp.NewGrid(e.nx, e.ny)
-	r.polar = growF32(r.polar, T*D)
-	r.rowLo = growI32(r.rowLo, T)
-	r.rowHi = growI32(r.rowHi, T)
-	for _, i := range r.active {
-		at := &gt.tiles[i]
-		for t := range r.rowLo {
-			r.rowLo[t], r.rowHi[t] = int32(D), 0
-		}
-		painted := false
-		for ti, on := range r.dil {
-			if !on || at.off[ti+1] == at.off[ti] {
-				continue
-			}
-			painted = true
-			for t := at.tLo[ti]; t < at.tHi[ti]; t++ {
-				if at.dLo[ti] < r.rowLo[t] {
-					r.rowLo[t] = at.dLo[ti]
-				}
-				if at.dHi[ti] > r.rowHi[t] {
-					r.rowHi[t] = at.dHi[ti]
-				}
-			}
-		}
-		if !painted {
-			continue
-		}
-		bfCoeffs(ps, a, i, r.avp)
-		e.polarFill32(ps, a, i, r.polar, r.rowLo, r.rowHi, r.acc, r.avp)
-
-		// Paint the selected tiles, collecting the painted maximum for
-		// the deferred normalization.
-		r.vals = r.vals[:0]
-		var pm float32
-		for ti, on := range r.dil {
-			if !on {
-				continue
-			}
-			lo, hi := at.off[ti], at.off[ti+1]
-			for c := lo; c < hi; c++ {
-				v := r.polar[at.i00[c]]*at.w00[c] + r.polar[at.i10[c]]*at.w10[c] +
-					r.polar[at.i01[c]]*at.w01[c] + r.polar[at.i11[c]]*at.w11[c]
-				r.vals = append(r.vals, v)
-				if v > pm {
-					pm = v
-				}
-			}
-		}
-		// The anchor's true map maximum may lie outside the selected
-		// tiles; the coarse global maximum (an exact float32 evaluation
-		// of the same surface at decimated points) recovers it to within
-		// decimation error, keeping the per-anchor weighting close to
-		// the full-grid oracle's.
-		denom := r.cmax[i]
-		if float64(pm) > denom {
-			denom = float64(pm)
-		}
-		inv := 1.0
-		if e.cfg.NormalizePerAnchor && denom > 0 {
-			inv = 1 / denom
-		}
-		n := 0
-		cd := combined.Data
-		for ti, on := range r.dil {
-			if !on {
-				continue
-			}
-			lo, hi := at.off[ti], at.off[ti+1]
-			for c := lo; c < hi; c++ {
-				cd[at.xy[c]] += float64(r.vals[n]) * inv
-				n++
-			}
-		}
-	}
+	combined := e.refine(r, ps, gt, a, r.tiles, r.cmax, nil)
 
 	// Painting only a subset of tiles creates artificial cliffs at the
 	// selection boundary, and a background cell on the high side of a
@@ -666,7 +592,7 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	// fraction of the full-grid scan.
 	tc := g.TileCells
 	minTx, minTy, maxTx, maxTy := gt.tnx, gt.tny, -1, -1
-	for ti, on := range r.dil {
+	for ti, on := range r.tiles {
 		if !on {
 			continue
 		}
@@ -696,7 +622,7 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 				if qx < 0 || qx >= e.nx || qy < 0 || qy >= e.ny {
 					continue
 				}
-				if !r.dil[e.tileOf(qy*e.nx+qx, gt.tnx)] {
+				if !r.tiles[e.tileOf(qy*e.nx+qx, gt.tnx)] {
 					interior = false
 					break
 				}
@@ -722,4 +648,119 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 		TilesRefined: refined,
 		TilesTotal:   nt,
 	}, ""
+}
+
+// refine is stage 2 of every BLoc fix: for each anchor with a usable
+// band it folds the beamforming coefficients (bfCoeffs), fills the
+// float32 polar plane over the θ-row/Δ spans the masked tiles' cells
+// sample (polarFill32), paints those cells through the tiled SoA
+// projection and adds the normalized map into a fresh combined grid.
+// Gated fixes pass their selected tiles; full-grid fixes pass every
+// tile. Everything runs on the calling goroutine.
+//
+// Each anchor's map is normalized by its painted maximum, raised to
+// cmax[i] when cmax is non-nil: a gated fix paints a subset of the room,
+// and the coarse maximum (an exact float32 evaluation of the same surface
+// at decimated points) recovers the anchor's true maximum to within
+// decimation error. A non-nil perAnchor receives each anchor's
+// normalized map; anchors without a usable band stay nil.
+func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, tiles []bool, cmax []float64, perAnchor []*dsp.Grid) *dsp.Grid {
+	T, D := len(e.thetas), len(e.deltas)
+	combined := dsp.NewGrid(e.nx, e.ny)
+	r.polar = growF32(r.polar, T*D)
+	r.acc = growF32(r.acc, 2*D)
+	r.rowLo = growI32(r.rowLo, T)
+	r.rowHi = growI32(r.rowHi, T)
+	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
+	for i := 0; i < a.NumAnchors(); i++ {
+		if a.PresentBands(i) == 0 {
+			continue
+		}
+		var xy *dsp.Grid
+		if perAnchor != nil {
+			xy = dsp.NewGrid(e.nx, e.ny)
+			perAnchor[i] = xy
+		}
+		at := &gt.tiles[i]
+		for t := range r.rowLo {
+			r.rowLo[t], r.rowHi[t] = int32(D), 0
+		}
+		painted := false
+		for ti, on := range tiles {
+			if !on || at.off[ti+1] == at.off[ti] {
+				continue
+			}
+			painted = true
+			for t := at.tLo[ti]; t < at.tHi[ti]; t++ {
+				if at.dLo[ti] < r.rowLo[t] {
+					r.rowLo[t] = at.dLo[ti]
+				}
+				if at.dHi[ti] > r.rowHi[t] {
+					r.rowHi[t] = at.dHi[ti]
+				}
+			}
+		}
+		if !painted {
+			continue
+		}
+		bfCoeffs(ps, a, i, r.avp)
+		e.polarFill32(ps, a, i, r.polar, r.rowLo, r.rowHi, r.acc, r.avp)
+
+		// Paint the masked tiles, collecting the painted maximum for the
+		// deferred normalization.
+		r.vals = r.vals[:0]
+		var pm float32
+		for ti, on := range tiles {
+			if !on {
+				continue
+			}
+			for c := at.off[ti]; c < at.off[ti+1]; c++ {
+				v := r.polar[at.i00[c]]*at.w00[c] + r.polar[at.i10[c]]*at.w10[c] +
+					r.polar[at.i01[c]]*at.w01[c] + r.polar[at.i11[c]]*at.w11[c]
+				r.vals = append(r.vals, v)
+				if v > pm {
+					pm = v
+				}
+			}
+		}
+		denom := float64(pm)
+		if cmax != nil && cmax[i] > denom {
+			denom = cmax[i]
+		}
+		inv := 1.0
+		if e.cfg.NormalizePerAnchor && denom > 0 {
+			inv = 1 / denom
+		}
+		n := 0
+		cd := combined.Data
+		for ti, on := range tiles {
+			if !on {
+				continue
+			}
+			for c := at.off[ti]; c < at.off[ti+1]; c++ {
+				v := float64(r.vals[n]) * inv
+				cd[at.xy[c]] += v
+				if xy != nil {
+					xy.Data[at.xy[c]] = v
+				}
+				n++
+			}
+		}
+	}
+	return combined
+}
+
+// fullLikelihood evaluates the combined surface over every refinement
+// tile — the full-grid fix and Engine.Likelihood's maps — through the
+// same refinement routine the gated search uses.
+func (e *Engine) fullLikelihood(a *Alpha, perAnchor []*dsp.Grid) *dsp.Grid {
+	ps := e.planesFor(a.Freqs)
+	gt := e.gatedFor(a.Ref)
+	r := e.getGatedRun()
+	defer e.putGatedRun(r)
+	r.tiles = growBools(r.tiles, gt.tnx*gt.tny)
+	for ti := range r.tiles {
+		r.tiles[ti] = true
+	}
+	return e.refine(r, ps, gt, a, r.tiles, nil, perAnchor)
 }

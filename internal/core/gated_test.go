@@ -22,7 +22,7 @@ var gatedScenarioPoints = []geom.Point{
 	geom.Pt(-2.0, 2.2), geom.Pt(2.0, 1.5),
 }
 
-// TestGatedParityTracked pins the gated path to the full-grid oracle
+// TestGatedParityTracked pins the gated path to the full-grid fix
 // across seeded scenarios: with a truthful prior the gated estimate must
 // match the full-grid estimate to within grid-cell noise.
 func TestGatedParityTracked(t *testing.T) {
@@ -236,8 +236,21 @@ func TestGatedStatsPartition(t *testing.T) {
 	}
 }
 
+// fullPlaneScratch returns a whole-plane polarFill32 workspace: the
+// T·D output plane, every row spanning all of Δ, and the accumulator and
+// coefficient scratch.
+func fullPlaneScratch(e *Engine, a *Alpha) (polar []float32, rowLo, rowHi []int32, acc []float32, avp []complex128) {
+	T, D := len(e.thetas), len(e.deltas)
+	rowLo, rowHi = make([]int32, T), make([]int32, T)
+	for t := range rowHi {
+		rowHi[t] = int32(D)
+	}
+	return make([]float32, T*D), rowLo, rowHi, make([]float32, 2*D),
+		make([]complex128, a.NumBands()*a.NumAntennas())
+}
+
 // TestPolarFill32Golden compares the float32 kernel against the float64
-// oracle over the full polar plane: relative error (against the plane
+// reference kernel over the full polar plane: relative error (against the plane
 // maximum) must stay within float32 accumulation noise. RefineDeltaStep
 // is pinned to 1 so every column is evaluated exactly; the default
 // stride's interpolation error is bounded separately by
@@ -260,18 +273,9 @@ func TestPolarFill32Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := e.planesFor(a.Freqs)
-	T, D := len(e.thetas), len(e.deltas)
+	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
-
-		got := make([]float32, T*D)
-		rowLo := make([]int32, T)
-		rowHi := make([]int32, T)
-		for tr := range rowHi {
-			rowHi[tr] = int32(D)
-		}
-		acc := make([]float32, 2*D)
-		avp := make([]complex128, a.NumBands()*a.NumAntennas())
+		golden := e.referencePolarLikelihood(a, anchor)
 		bfCoeffs(ps, a, anchor, avp)
 		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, acc, avp)
 
@@ -299,7 +303,7 @@ func TestPolarFill32Golden(t *testing.T) {
 // TestPolarFill32InterpError bounds the Δ-interpolation error of the
 // default RefineDeltaStep: at cells above 30% of the plane maximum —
 // the ones that shape candidate peaks — the interpolated plane must
-// stay within 2% of the exact float64 oracle. The magnitude profile is
+// stay within 2% of the exact float64 reference kernel. The magnitude profile is
 // band-limited along Δ by the sounded channel spread, which is what
 // makes the strided sweep admissible at all; this test is the tripwire
 // if a future grid or band-plan change breaks that assumption.
@@ -318,17 +322,9 @@ func TestPolarFill32InterpError(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := e.planesFor(a.Freqs)
-	T, D := len(e.thetas), len(e.deltas)
-	got := make([]float32, T*D)
-	rowLo := make([]int32, T)
-	rowHi := make([]int32, T)
-	for tr := range rowHi {
-		rowHi[tr] = int32(D)
-	}
-	acc := make([]float32, 2*D)
+	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
-		avp := make([]complex128, a.NumBands()*a.NumAntennas())
+		golden := e.referencePolarLikelihood(a, anchor)
 		bfCoeffs(ps, a, anchor, avp)
 		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, acc, avp)
 		var max float64
@@ -356,8 +352,8 @@ func TestPolarFill32InterpError(t *testing.T) {
 }
 
 // TestCoarsePolarFill32Golden checks the decimated coarse kernel: each
-// coarse sample is the same (θ, Δ) evaluation as the float64 plane at
-// the decimated indices.
+// coarse sample is the same (θ, Δ) evaluation as the float64 reference
+// plane at the decimated indices.
 func TestCoarsePolarFill32Golden(t *testing.T) {
 	d, err := testbed.Paper(22)
 	if err != nil {
@@ -374,7 +370,7 @@ func TestCoarsePolarFill32Golden(t *testing.T) {
 	g := e.Config().Gate
 	D := len(e.deltas)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
-		golden := e.polarLikelihood(a, anchor)
+		golden := e.referencePolarLikelihood(a, anchor)
 		var max float64
 		for _, v := range golden.Data {
 			if v > max {

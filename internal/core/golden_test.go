@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -11,13 +12,32 @@ import (
 	"bloc/internal/testbed"
 )
 
-// The golden tests pin the optimized plane/pool/tile kernels to the
-// reference kernels (reference.go): every figure the engine can produce
-// must agree within 1e-9, on full snapshots and on degraded
-// (partial-presence) ones, because the optimized path is the one every
-// production caller uses.
+// The golden tests pin the production kernels to the reference kernels
+// (reference.go) on full snapshots and on degraded (partial-presence)
+// ones. Two regimes:
+//
+//   - The angle and distance spectra and the pooled correction are the
+//     same float64 math restructured, and must agree within goldenTol.
+//   - The joint likelihood surfaces run the float32 refinement kernel
+//     with interpolated sampling (polar32.go), and must agree within
+//     surfaceTol per cell and peakTol at the reference maximum.
+//     TestLocateEstimateParity prices what that divergence does to the
+//     error CDF.
 
 const goldenTol = 1e-9
+
+// surfaceTol bounds the absolute per-cell divergence of a production
+// surface from the reference one. Every anchor's map is normalized to a
+// unit maximum, so a per-anchor map diverges by a fraction of 1 and the
+// four-anchor combined surface by up to the sum of four such fractions.
+// The worst measured on these tests' snapshots is 0.033 per anchor and
+// 0.035 combined (TestOptimizedKernelsMatchReferenceAllRefs, ref 3).
+const surfaceTol = 0.05
+
+// peakTol bounds the relative divergence at the reference surface's
+// maximum, the cell that decides the fix. Worst measured: 0.22% (a
+// per-anchor map; 0.14% on a combined surface).
+const peakTol = 0.004
 
 // closeTo compares with a tolerance scaled by magnitude: raw polar
 // likelihoods reach O(K·J) while normalized maps live in [0, 1].
@@ -32,17 +52,30 @@ func closeTo(a, b float64) bool {
 	return math.Abs(a-b) <= goldenTol*scale
 }
 
-func requireGridsEqual(t *testing.T, name string, got, want *dsp.Grid) {
+// requireSurfaceClose holds a production likelihood surface to the
+// reference within surfaceTol per cell and peakTol at the reference
+// maximum, and returns the worst per-cell and at-peak divergences.
+func requireSurfaceClose(t *testing.T, name string, got, want *dsp.Grid) (cell, peak float64) {
 	t.Helper()
 	if got.W != want.W || got.H != want.H {
 		t.Fatalf("%s: dimensions %dx%d != %dx%d", name, got.W, got.H, want.W, want.H)
 	}
 	for i := range want.Data {
-		if !closeTo(got.Data[i], want.Data[i]) {
-			t.Fatalf("%s: cell %d: got %v, want %v (diff %g)",
-				name, i, got.Data[i], want.Data[i], math.Abs(got.Data[i]-want.Data[i]))
+		if d := math.Abs(got.Data[i] - want.Data[i]); d > cell {
+			cell = d
 		}
 	}
+	wmax, ix, iy := want.Max()
+	if wmax > 0 {
+		peak = math.Abs(got.At(ix, iy)-wmax) / wmax
+	}
+	if cell > surfaceTol {
+		t.Errorf("%s: worst cell diverges by %.4f (limit %.4f)", name, cell, surfaceTol)
+	}
+	if peak > peakTol {
+		t.Errorf("%s: peak diverges by %.3f%% (limit %.3f%%)", name, 100*peak, 100*peakTol)
+	}
+	return cell, peak
 }
 
 func requireSpecEqual(t *testing.T, name string, got, want []float64) {
@@ -57,31 +90,30 @@ func requireSpecEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// checkKernelParity runs every optimized kernel against its reference
-// twin on one corrected snapshot.
+// checkKernelParity runs every production kernel against its reference
+// twin on one corrected snapshot. The polar plane itself is pinned by
+// TestPolarFill32Golden (exact strides) and TestPolarFill32InterpError
+// (default strides); the per-anchor maps below cover the projection.
 func checkKernelParity(t *testing.T, e *Engine, a *Alpha) {
 	t.Helper()
 	combined, perAnchor := e.Likelihood(a)
 	refCombined, refPerAnchor := e.LikelihoodReference(a)
-	requireGridsEqual(t, "combined likelihood", combined, refCombined)
+	cell, peak := requireSurfaceClose(t, "combined likelihood", combined, refCombined)
+	t.Logf("combined surface: worst cell %.4f, peak %.3f%%", cell, 100*peak)
 	for i := range refPerAnchor {
 		if (perAnchor[i] == nil) != (refPerAnchor[i] == nil) {
 			t.Fatalf("anchor %d: perAnchor nil mismatch (opt=%v ref=%v)",
 				i, perAnchor[i] == nil, refPerAnchor[i] == nil)
 		}
 		if refPerAnchor[i] != nil {
-			requireGridsEqual(t, "per-anchor map", perAnchor[i], refPerAnchor[i])
+			cell, peak := requireSurfaceClose(t, "per-anchor map", perAnchor[i], refPerAnchor[i])
+			t.Logf("anchor %d map: worst cell %.4f, peak %.3f%%", i, cell, 100*peak)
 		}
 	}
 	for i := range e.anchors {
 		if a.PresentBands(i) == 0 {
 			continue
 		}
-		polar := e.polarLikelihood(a, i)
-		refPolar := e.referencePolarLikelihood(a, i)
-		requireGridsEqual(t, "polar likelihood", polar, refPolar)
-		requireGridsEqual(t, "polar->XY projection",
-			e.polarToXY(polar, i, a.Ref), e.referencePolarToXY(refPolar, i, a.Ref))
 		requireSpecEqual(t, "angle spectrum",
 			e.angleSpectrum(a.Freqs, a.Values, a.Have, i),
 			e.referenceAngleSpectrum(a.Freqs, a.Values, a.Have, i))
@@ -177,7 +209,8 @@ func TestPooledCorrectMatchesCorrect(t *testing.T) {
 }
 
 // TestLocateMatchesReferencePipeline checks the end-to-end fix path: the
-// likelihood surface Locate reports must match the reference pipeline's.
+// likelihood surface Locate reports must match the reference pipeline's
+// within the float32 surface bounds.
 func TestLocateMatchesReferencePipeline(t *testing.T) {
 	d, err := testbed.Paper(44)
 	if err != nil {
@@ -194,7 +227,64 @@ func TestLocateMatchesReferencePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	refCombined, _ := e.LikelihoodReference(a)
-	requireGridsEqual(t, "Locate likelihood surface", res.Likelihood, refCombined)
+	cell, peak := requireSurfaceClose(t, "Locate likelihood surface", res.Likelihood, refCombined)
+	t.Logf("worst cell %.4f, peak %.3f%%", cell, 100*peak)
+}
+
+// TestLocateEstimateParity localizes seeded random positions two ways —
+// through Locate (the float32 refinement kernel) and through the
+// reference pipeline (LikelihoodReference → candidates → bestByScore) —
+// and bounds what the surface divergence does to the fixes: at least 95%
+// of estimates within one grid cell of the reference's, and the error
+// CDF's median and p90 within 2 cm and 5 cm of the reference's.
+func TestLocateEstimateParity(t *testing.T) {
+	const n = 200
+	d, err := testbed.Paper(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := paperEngine(t, d)
+	room := d.Env.Room.Inset(0.3)
+	rng := rand.New(rand.NewPCG(1, 0xE57))
+	cell := e.Config().CellM + 1e-9
+	var errOpt, errRef []float64
+	near := 0
+	for k := 0; k < n; k++ {
+		tag := geom.Pt(room.Min.X+rng.Float64()*room.Width(), room.Min.Y+rng.Float64()*room.Height())
+		s := d.Sounding(tag)
+		res, err := e.Locate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Correct(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refCombined, _ := e.LikelihoodReference(a)
+		ref, ok := bestByScore(e.candidates(refCombined))
+		if !ok {
+			t.Fatalf("position %d: reference surface has no peak", k)
+		}
+		if d := res.Estimate.Sub(ref.Loc); math.Abs(d.X) <= cell && math.Abs(d.Y) <= cell {
+			near++
+		}
+		errOpt = append(errOpt, res.Estimate.Dist(tag))
+		errRef = append(errRef, ref.Loc.Dist(tag))
+	}
+	dp50 := 100 * (dsp.Percentile(errOpt, 50) - dsp.Percentile(errRef, 50))
+	dp90 := 100 * (dsp.Percentile(errOpt, 90) - dsp.Percentile(errRef, 90))
+	t.Logf("%d/%d estimates within one cell; error p50 %.1f → %.1f cm, p90 %.1f → %.1f cm",
+		near, n, 100*dsp.Percentile(errRef, 50), 100*dsp.Percentile(errOpt, 50),
+		100*dsp.Percentile(errRef, 90), 100*dsp.Percentile(errOpt, 90))
+	if near*100 < 95*n {
+		t.Errorf("only %d/%d estimates within one cell of the reference pipeline's", near, n)
+	}
+	if math.Abs(dp50) > 2 {
+		t.Errorf("error p50 moved %.1f cm (limit 2)", dp50)
+	}
+	if math.Abs(dp90) > 5 {
+		t.Errorf("error p90 moved %.1f cm (limit 5)", dp90)
+	}
 }
 
 func TestEngineStats(t *testing.T) {
@@ -239,7 +329,7 @@ func TestEngineStats(t *testing.T) {
 
 // TestEngineConcurrentFixes hammers one shared engine from many
 // goroutines with distinct snapshots and band plans. Run with -race this
-// guards the plane cache, the scratch pools and the tiled fix path.
+// guards the plane and gated-table caches and the scratch pools.
 func TestEngineConcurrentFixes(t *testing.T) {
 	d, err := testbed.Paper(46)
 	if err != nil {

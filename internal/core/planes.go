@@ -13,13 +13,12 @@ import (
 //
 //   - Projection tables (anchorProj), built once per reference anchor
 //     (reference 0 eagerly in NewEngine, failover references lazily): for
-//     every XY cell in front of an anchor, the polar-grid source indices and
-//     bilinear weights that polarToXY / angleSpectrumToXY /
-//     DistanceLikelihoodXY would otherwise re-derive with atan2/hypot per
-//     cell per fix. Cells that project out of range are simply absent
-//     from the packed lists. The per-θ-row Δ spans (dLo/dHi) record which
-//     polar cells any XY cell actually samples, so the likelihood kernel
-//     can skip polar cells nobody will read.
+//     every XY cell in front of an anchor, the spectrum indices and
+//     linear weights that angleSpectrumToXY / DistanceLikelihoodXY would
+//     otherwise re-derive with atan2/hypot per cell per fix. Cells that
+//     project out of range are simply absent from the packed lists. The
+//     joint polar → XY projection lives in the gated tables instead
+//     (gated.go), regrouped by refinement tile from polarCells.
 //
 //   - Steering planes (planeSet), built once per band plan on first use
 //     and cached on the engine: the angular frequencies w_k, the base
@@ -31,7 +30,7 @@ import (
 //     Fig. 11) each build and cache their own plane once.
 
 // projCell maps one XY cell to its four bilinear source cells in a polar
-// (θ, Δ) grid. Indices address Grid.Data of a D-wide polar grid.
+// (θ, Δ) grid. Indices address a row-major, D-wide polar plane.
 type projCell struct {
 	xy                 int32 // XY cell index (iy*nx + ix)
 	i00, i10, i01, i11 int32 // polar source indices
@@ -46,15 +45,10 @@ type lineCell struct {
 	fr     float64
 }
 
-// anchorProj holds one anchor's projection tables.
+// anchorProj holds one anchor's spectrum projection tables.
 type anchorProj struct {
-	cells []projCell // polar → XY (cells with both θ and Δ in range)
 	angle []lineCell // θ spectrum → XY (cells with θ in range)
 	dist  []lineCell // Δ spectrum → XY (cells with Δ in range)
-	// dLo/dHi give, per θ row, the half-open Δ index span any projCell
-	// samples; rows no XY cell maps to have dLo >= dHi and the likelihood
-	// kernel skips them entirely.
-	dLo, dHi []int32
 }
 
 // projections returns the per-anchor projection tables for the given
@@ -78,12 +72,11 @@ func (e *Engine) projections(ref int) []anchorProj {
 	return set
 }
 
-// buildProjectionsFor derives every anchor's projection tables from the
-// deployment geometry for one reference anchor: Δ at each XY cell is the
-// distance to the anchor minus the distance to the reference's antenna 0.
-// This is the one place the per-cell trigonometry (AngleTo, Dist) of the
-// projections still runs — once per (engine, reference) instead of once
-// per fix.
+// buildProjectionsFor derives every anchor's spectrum projection tables
+// from the deployment geometry for one reference anchor: Δ at each XY
+// cell is the distance to the anchor minus the distance to the
+// reference's antenna 0. The per-cell trigonometry (AngleTo, Dist) runs
+// once per (engine, reference) instead of once per fix.
 func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 	T, D := len(e.thetas), len(e.deltas)
 	tStep := e.thetas[1] - e.thetas[0]
@@ -96,76 +89,23 @@ func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 	for i, arr := range e.anchors {
 		ant0 := arr.Antenna(0)
 		pr := &proj[i]
-		pr.dLo = make([]int32, T)
-		pr.dHi = make([]int32, T)
-		for t := range pr.dLo {
-			pr.dLo[t] = int32(D) // empty span until a cell claims the row
-		}
 		for iy := 0; iy < e.ny; iy++ {
 			for ix := 0; ix < e.nx; ix++ {
 				p := e.CellCenter(ix, iy)
 				xy := int32(iy*e.nx + ix)
-				theta := arr.AngleTo(p)
-				delta := p.Dist(ant0) - p.Dist(master0)
-				thOK := theta >= tMin && theta <= tMax
-				dOK := delta >= dMin && delta <= dMax
-				if thOK {
+				if theta := arr.AngleTo(p); theta >= tMin && theta <= tMax {
 					ft := (theta - tMin) / tStep
 					t0 := int(ft)
-					t1 := t0 + 1
-					if t1 > T-1 {
-						t1 = T - 1
-					}
 					pr.angle = append(pr.angle, lineCell{
-						xy: xy, i0: int32(t0), i1: int32(t1), fr: ft - float64(t0),
+						xy: xy, i0: int32(t0), i1: int32(min(t0+1, T-1)), fr: ft - float64(t0),
 					})
 				}
-				if dOK {
+				if delta := p.Dist(ant0) - p.Dist(master0); delta >= dMin && delta <= dMax {
 					fd := (delta - dMin) / dStep
 					d0 := int(fd)
-					d1 := d0 + 1
-					if d1 > D-1 {
-						d1 = D - 1
-					}
 					pr.dist = append(pr.dist, lineCell{
-						xy: xy, i0: int32(d0), i1: int32(d1), fr: fd - float64(d0),
+						xy: xy, i0: int32(d0), i1: int32(min(d0+1, D-1)), fr: fd - float64(d0),
 					})
-				}
-				if thOK && dOK {
-					// Mirror dsp.Grid.Bilinear's clamping exactly so the
-					// table yields bit-identical samples.
-					x := (delta - dMin) / dStep
-					y := (theta - tMin) / tStep
-					if x > float64(D-1) {
-						x = float64(D - 1)
-					}
-					if y > float64(T-1) {
-						y = float64(T - 1)
-					}
-					x0, y0 := int(x), int(y)
-					x1, y1 := x0+1, y0+1
-					if x1 > D-1 {
-						x1 = D - 1
-					}
-					if y1 > T-1 {
-						y1 = T - 1
-					}
-					fx, fy := x-float64(x0), y-float64(y0)
-					pr.cells = append(pr.cells, projCell{
-						xy:  xy,
-						i00: int32(y0*D + x0), i10: int32(y0*D + x1),
-						i01: int32(y1*D + x0), i11: int32(y1*D + x1),
-						w00: (1 - fx) * (1 - fy), w10: fx * (1 - fy),
-						w01: (1 - fx) * fy, w11: fx * fy,
-					})
-					for _, row := range [2]int{y0, y1} {
-						if int32(x0) < pr.dLo[row] {
-							pr.dLo[row] = int32(x0)
-						}
-						if int32(x1+1) > pr.dHi[row] {
-							pr.dHi[row] = int32(x1 + 1)
-						}
-					}
 				}
 			}
 		}
@@ -173,19 +113,55 @@ func (e *Engine) buildProjectionsFor(ref int) []anchorProj {
 
 	var bytes int
 	for i := range proj {
-		pr := &proj[i]
-		bytes += len(pr.cells)*projCellBytes + (len(pr.angle)+len(pr.dist))*lineCellBytes
-		bytes += (len(pr.dLo) + len(pr.dHi)) * 4
+		bytes += (len(proj[i].angle) + len(proj[i].dist)) * lineCellBytes
 	}
 	e.statTableBytes.Add(uint64(bytes))
 	e.statProjBuilds.Add(1)
 	return proj
 }
 
-const (
-	projCellBytes = 4*5 + 8*4 // five int32 + four float64 (unpadded)
-	lineCellBytes = 4*3 + 8
-)
+// polarCells lists, for one anchor and reference, every XY cell whose θ
+// and Δ both fall inside the polar grid, with its four bilinear polar
+// sources. The table is transient: buildGatedFor regroups it by tile
+// into float32 SoA lanes and drops it.
+func (e *Engine) polarCells(anchor, ref int) []projCell {
+	T, D := len(e.thetas), len(e.deltas)
+	tStep := e.thetas[1] - e.thetas[0]
+	dStep := e.deltas[1] - e.deltas[0]
+	tMin, tMax := e.thetas[0], e.thetas[len(e.thetas)-1]
+	dMin, dMax := e.deltas[0], e.deltas[len(e.deltas)-1]
+	arr := e.anchors[anchor]
+	ant0, master0 := arr.Antenna(0), e.anchors[ref].Antenna(0)
+
+	var cells []projCell
+	for iy := 0; iy < e.ny; iy++ {
+		for ix := 0; ix < e.nx; ix++ {
+			p := e.CellCenter(ix, iy)
+			theta := arr.AngleTo(p)
+			delta := p.Dist(ant0) - p.Dist(master0)
+			if theta < tMin || theta > tMax || delta < dMin || delta > dMax {
+				continue
+			}
+			// Mirror dsp.Grid.Bilinear's clamping exactly, so the table
+			// samples the polar plane where the reference projection does.
+			x := min((delta-dMin)/dStep, float64(D-1))
+			y := min((theta-tMin)/tStep, float64(T-1))
+			x0, y0 := int(x), int(y)
+			x1, y1 := min(x0+1, D-1), min(y0+1, T-1)
+			fx, fy := x-float64(x0), y-float64(y0)
+			cells = append(cells, projCell{
+				xy:  int32(iy*e.nx + ix),
+				i00: int32(y0*D + x0), i10: int32(y0*D + x1),
+				i01: int32(y1*D + x0), i11: int32(y1*D + x1),
+				w00: (1 - fx) * (1 - fy), w10: fx * (1 - fy),
+				w01: (1 - fx) * fy, w11: fx * fy,
+			})
+		}
+	}
+	return cells
+}
+
+const lineCellBytes = 4*3 + 8
 
 // planeSet holds every steering table for one band plan (one freqs
 // vector). All fields are immutable after construction.
@@ -194,9 +170,10 @@ type planeSet struct {
 	w     []float64 // angular frequency 2π f_k / c per band
 
 	// Base distance steering e^{ι w_k Δ_d}, row-major [k*D + d], split
-	// into components so the accumulation loop runs on flat float64
-	// slices. The anchor-dependent part e^{−ι w_k D_i} is factored into
-	// phase below, saving an anchors× multiple of this (large) table.
+	// into components so the Eq. 16 distance spectrum runs on flat
+	// float64 slices. The anchor-dependent part e^{−ι w_k D_i} is
+	// factored into phase below, saving an anchors× multiple of this
+	// (large) table.
 	baseRe, baseIm []float64
 
 	// phase[i][k] = e^{−ι w_k D_i}: folded into B(θ, k) once per band per
@@ -208,21 +185,21 @@ type planeSet struct {
 	steps [][]complex128
 
 	// stepPows[s][(t*K+k)*P + p-1] = steps[s][t*K+k]^p for p = 1..P,
-	// P = maxAntennas−1. The float64 oracle kernel computes these powers
-	// with a serial rotor chain per band; the chain's multiply latency is
-	// what bounds that loop, so the gated kernels read the precomputed
-	// powers instead and the beamforming sum becomes a short independent
-	// dot product. nil when every anchor has a single antenna.
+	// P = maxAntennas−1. The angle spectrum and the reference kernels
+	// compute these powers with a serial rotor chain per band; the
+	// chain's multiply latency is what bounds that loop, so the likelihood
+	// kernels read the precomputed powers instead and the beamforming sum
+	// becomes a short independent dot product. nil when every anchor has
+	// a single antenna.
 	stepPows [][]complex128
 	// stepP is P above: the number of powers stored per (θ row, band).
 	stepP int
 
-	// Float32 SoA lanes of the base distance steering for the gated
-	// path's kernels (polar32.go): the full-resolution mirror of
-	// baseRe/baseIm, plus the Δ-decimated coarse lanes the coarse pass
-	// reads contiguously (cd ← d = cd·CoarseDeltaStep). Half the memory
-	// traffic of the float64 planes; the float64 path above stays the
-	// 1e-9 golden-oracle kernel.
+	// Float32 SoA lanes of the base distance steering for the likelihood
+	// kernels (polar32.go): the full-resolution mirror of baseRe/baseIm,
+	// plus the Δ-decimated coarse lanes the gated coarse pass reads
+	// contiguously (cd ← d = cd·CoarseDeltaStep). Half the memory traffic
+	// of the float64 planes.
 	baseRe32, baseIm32   []float32 // [k*D + d]
 	cbaseRe32, cbaseIm32 []float32 // [k*cD + cd]
 

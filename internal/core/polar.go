@@ -1,105 +1,15 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"bloc/internal/dsp"
-)
-
-// Optimized Eq. 15–17 kernels. The math is identical to the reference
-// kernels in reference.go; the difference is that every geometry- and
+// Optimized Eq. 15 and Eq. 16 spectra for the Fig. 6a/6b maps and the
+// AoA baselines. The math is identical to the reference kernels in
+// reference.go; the difference is that every geometry- and
 // band-plan-dependent factor comes from the engine's precomputed planes
-// (planes.go), the magnitudes use sqrt(re²+im²) instead of the
+// (planes.go) and the magnitudes use sqrt(re²+im²) instead of the
 // overflow-guarded math.Hypot (the likelihood dynamic range is nowhere
-// near the guard thresholds), and the accumulation runs on flat re/im
-// float64 planes the compiler turns into tight scalar loops.
-
-// polarLikelihood evaluates the paper's Eq. 17 for one anchor on the
-// engine's (θ, Δd) grid, relative to the alpha's elected reference r:
-//
-//	P_i(θ, Δ) = | Σ_j Σ_k α_jk · e^{−ι w_k j l sinθ} · e^{+ι w_k (Δ − (D_i − D_r))} |
-//
-// The computation is factorized: B(θ, k) = Σ_j α_jk·e^{−ι w_k j l sinθ}
-// first (cheap, using the precomputed per-spacing angle rotors), then the
-// relative anchor phase e^{−ι w_k (D_i − D_r)} is folded into B and the
-// hot loop is a dense product against the shared base steering planes
-// e^{+ι w_k Δ_d}. At r = 0 (D_0 = 0) this is exactly the paper's Eq. 17.
-//
-// The returned grid has W = len(deltas) columns and H = len(thetas) rows.
-func (e *Engine) polarLikelihood(a *Alpha, anchor int) *dsp.Grid {
-	T, D := len(e.thetas), len(e.deltas)
-	ps := e.planesFor(a.Freqs)
-	grid := dsp.NewGrid(D, T)
-	acc := e.getFloats(2 * D)
-	e.polarFill(ps, e.projections(a.Ref), a, anchor, grid, 0, T, *acc, false)
-	e.putFloats(acc)
-	return grid
-}
-
-// polarFill computes rows [row0, row1) of one anchor's polar likelihood
-// into grid. acc is caller-supplied scratch of length ≥ 2·D (re plane
-// then im plane). With spanned=true only the Δ span any XY cell actually
-// samples (anchorProj.dLo/dHi) is computed per row — cells outside the
-// span are never read by the projection and are left untouched, so
-// spanned fills require a projection-driven reader.
-func (e *Engine) polarFill(ps *planeSet, projs []anchorProj, a *Alpha, anchor int, grid *dsp.Grid, row0, row1 int, acc []float64, spanned bool) {
-	D, K := len(e.deltas), a.NumBands()
-	J := a.NumAntennas()
-	steps := ps.steps[e.spacingIdx[anchor]]
-	phase := ps.phase[anchor]
-	// Conjugating the reference's rotor e^{−ι w_k D_r} shifts the steering
-	// to Δ − (D_i − D_r); at reference 0 it multiplies by exactly 1+0i.
-	rphase := ps.phase[a.Ref]
-	accRe, accIm := acc[:D], acc[D:2*D]
-	pr := &projs[anchor]
-
-	for t := row0; t < row1; t++ {
-		lo, hi := 0, D
-		if spanned {
-			lo, hi = int(pr.dLo[t]), int(pr.dHi[t])
-			if lo >= hi {
-				continue // no XY cell samples this θ row
-			}
-		}
-		are, aim := accRe[lo:hi], accIm[lo:hi]
-		for d := range are {
-			are[d] = 0
-			aim[d] = 0
-		}
-		srow := steps[t*K : t*K+K]
-		for k := 0; k < K; k++ {
-			if !a.Present(k, anchor) {
-				continue // degraded mode: band not measured at this anchor
-			}
-			// B(θ, k) = Σ_j α_jk · e^{−ι w_k j l sinθ}, built by repeated
-			// multiplication with the precomputed per-antenna rotation.
-			step := srow[k]
-			rot := complex(1, 0)
-			var b complex128
-			av := a.Values[k][anchor]
-			for j := 0; j < J; j++ {
-				b += av[j] * rot
-				rot *= step
-			}
-			//lint:ignore floateq skip beamforming sums that are exactly zero
-			if b == 0 {
-				continue
-			}
-			b *= phase[k] * conj(rphase[k]) // fold e^{−ι w_k (D_i − D_r)} once per (θ, k)
-			bRe, bIm := real(b), imag(b)
-			row := k * D
-			bre, bim := ps.baseRe[row+lo:row+hi], ps.baseIm[row+lo:row+hi]
-			for d := range bre {
-				are[d] += bRe*bre[d] - bIm*bim[d]
-				aim[d] += bRe*bim[d] + bIm*bre[d]
-			}
-		}
-		rowOut := grid.Data[t*D+lo : t*D+hi]
-		for d := range rowOut {
-			rowOut[d] = math.Sqrt(are[d]*are[d] + aim[d]*aim[d])
-		}
-	}
-}
+// near the guard thresholds). The joint Eq. 17 likelihood runs on the
+// float32 kernels of polar32.go.
 
 // angleSpectrum evaluates Eq. 15 for one anchor: the per-band angular
 // spectra Pa(θ) = |Σ_j α_jk e^{−ι w_k j l sinθ}|, summed incoherently over

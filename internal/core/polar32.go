@@ -4,13 +4,15 @@ import (
 	"math"
 )
 
-// float32 SoA variants of the Eq. 15–17 polar kernel (polar.go) for the
-// gated search. Three departures from the float64 oracle kernel, each
-// bounded by a dedicated test:
+// The production Eq. 17 polar kernels: float32 SoA evaluations of the
+// joint likelihood for every BLoc fix — the gated search's coarse pass
+// and the refinement sweep that both gated and full-grid fixes run
+// (gated.go). Three departures from the float64 reference kernel
+// (reference.go), each bounded by a dedicated test:
 //
 //   - The Δ accumulation runs on the planeSet's float32 SoA lanes,
 //     halving the memory traffic of the likelihood's dominant loop
-//     (TestPolarFill32Golden pins the float32 plane to the oracle).
+//     (TestPolarFill32Golden pins the float32 plane to the reference).
 //   - The beamforming sum B(θ, k) reads the precomputed rotor powers
 //     (planeSet.stepPows) instead of walking a serial rotor chain, and
 //     the per-band phase product e^{−ι w_k D_i}·conj(e^{−ι w_k D_r}) is
@@ -25,9 +27,9 @@ import (
 //     and fills the rest by linear interpolation
 //     (TestPolarFill32InterpError bounds the error at peak cells).
 //
-// The float64 kernel remains the golden-oracle path; these only feed
-// the gated search, whose estimates are guarded by the fallback
-// triggers and the parity tests.
+// reference.go remains the float64 oracle: the golden tests bound the
+// combined surface's divergence from it, and TestLocateEstimateParity
+// bounds what that divergence does to the error CDF.
 
 // bfCoeffs folds the anchor/reference phase rotors into one anchor's
 // corrected-channel coefficients: avp[k*J+j] = α_kj · e^{−ι w_k D_i} ·
@@ -126,7 +128,7 @@ func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, ancho
 // can be interpolated from fully-painted sources; within a row the
 // sweep evaluates every RefineDeltaStep-th column (plus the final one).
 // Both strides at 1 recover the exact kernel, which is what the golden
-// test pins against the float64 oracle.
+// test pins against the float64 reference kernel.
 func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32, rowLo, rowHi []int32, acc []float32, avp []complex128) {
 	D, K := len(e.deltas), a.NumBands()
 	J := a.NumAntennas()

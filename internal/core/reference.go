@@ -9,17 +9,19 @@ import (
 	"bloc/internal/rfsim"
 )
 
-// Reference kernels. These are the original, unoptimized implementations
-// of Eq. 15–17 and the polar→XY projection, kept verbatim as the oracle
-// the optimized plane/pool/tile kernels are tested against (golden
-// equivalence within 1e-9) and benchmarked against. They recompute every
-// steering table per call and derive every projection with per-cell
-// trigonometry — slow, but transparently close to the paper's math.
+// Reference kernels. These are the original, unoptimized float64
+// implementations of Eq. 15–17 and the polar→XY projection, kept verbatim
+// as the only float64 joint likelihood and the oracle the production
+// kernels are tested and benchmarked against: the spectra within 1e-9,
+// the float32 likelihood surfaces within the bounds golden_test.go
+// states. They recompute every steering table per call and derive every
+// projection with per-cell trigonometry — slow, but transparently close
+// to the paper's math.
 
-// LikelihoodReference computes exactly what Likelihood computes, using
-// the reference kernels: per-anchor polar likelihood, per-cell projection
-// and per-anchor normalization, summed over anchors. It is the oracle for
-// the optimized fix path and is not used by any production caller.
+// LikelihoodReference computes what Likelihood computes, using the
+// reference kernels: per-anchor polar likelihood, per-cell projection and
+// per-anchor normalization, summed over anchors. It is the oracle for the
+// production fix path and is not used by any production caller.
 func (e *Engine) LikelihoodReference(a *Alpha) (combined *dsp.Grid, perAnchor []*dsp.Grid) {
 	I := a.NumAnchors()
 	perAnchor = make([]*dsp.Grid, I)

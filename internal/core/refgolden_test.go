@@ -12,13 +12,15 @@ import (
 
 // Reference-failover golden tests: the re-referenced α path (CorrectRef,
 // the pooled correctInto, the ref-parameterized kernels and projection
-// tables) must agree with the reference oracle within 1e-9 for EVERY
-// reference index, not just the paper's hard-wired 0, and the finite
-// guard must keep NaN/Inf and denormal reference tones out of the grids.
+// tables) must agree with the reference oracle for EVERY reference
+// index, not just the paper's hard-wired 0 — bit for bit for the
+// correction, within the golden bounds of golden_test.go for the
+// kernels — and the finite guard must keep NaN/Inf and denormal
+// reference tones out of the grids.
 
 // TestOptimizedKernelsMatchReferenceAllRefs runs the full kernel-parity
-// sweep (polar likelihood, projections, spectra, combined map) once per
-// non-zero reference index.
+// sweep (per-anchor maps, spectra, combined map) once per non-zero
+// reference index.
 func TestOptimizedKernelsMatchReferenceAllRefs(t *testing.T) {
 	d, err := testbed.Paper(47)
 	if err != nil {
@@ -102,7 +104,8 @@ func TestLocateRefMatchesReferencePipelineAllRefs(t *testing.T) {
 			t.Fatal(err)
 		}
 		refCombined, _ := e.LikelihoodReference(a)
-		requireGridsEqual(t, "LocateRef likelihood surface", res.Likelihood, refCombined)
+		cell, peak := requireSurfaceClose(t, "LocateRef likelihood surface", res.Likelihood, refCombined)
+		t.Logf("ref %d: worst cell %.4f, peak %.3f%%", ref, cell, 100*peak)
 	}
 }
 

@@ -5,207 +5,20 @@ import (
 	"bloc/internal/geom"
 )
 
-// Tile sizes for the parallel fix path: θ rows per polar task and packed
-// projection cells per projection task. Small enough that (anchors ×
-// tiles) comfortably exceeds any realistic GOMAXPROCS, large enough that
-// per-task overhead is noise.
-const (
-	polarRowTile = 16
-	projCellTile = 4096
-	sumRowTile   = 64
-)
-
-// polarToXY resamples one anchor's polar likelihood P_i(θ, Δ) onto the
-// engine's XY grid for reference anchor ref: every cell center p maps to
-// the anchor-relative coordinates θ_i(p) (angle from the array broadside)
-// and Δ_i(p) = |p − ant_i0| − |p − ant_r0| (relative distance, §5.3), and
-// the polar grid is sampled bilinearly there. The mapping is precomputed:
-// the packed projection table supplies each in-range cell's source
-// indices and weights, so no per-cell trigonometry runs here.
-func (e *Engine) polarToXY(polar *dsp.Grid, anchor, ref int) *dsp.Grid {
-	out := dsp.NewGrid(e.nx, e.ny)
-	pr := &e.projections(ref)[anchor]
-	e.projectPolar(polar, pr, out, 0, len(pr.cells))
-	return out
-}
-
-// projectPolar applies projection-table entries [lo, hi) of one anchor to
-// out and returns the maximum projected value of the slice (for the
-// deferred per-anchor normalization).
-func (e *Engine) projectPolar(polar *dsp.Grid, pr *anchorProj, out *dsp.Grid, lo, hi int) float64 {
-	cells := pr.cells[lo:hi]
-	pd := polar.Data
-	od := out.Data
-	var max float64
-	for i := range cells {
-		c := &cells[i]
-		v := pd[c.i00]*c.w00 + pd[c.i10]*c.w10 + pd[c.i01]*c.w01 + pd[c.i11]*c.w11
-		od[c.xy] = v
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Likelihood computes the combined XY likelihood of Eq. 17 summed over all
 // anchors (§5.3), optionally normalizing each anchor's map to unit maximum
 // first. The per-anchor maps are also returned for inspection (Fig. 6c,
 // Fig. 8c).
 //
-// The work is tiled (anchors × θ tiles, then anchors × projection tiles)
-// across GOMAXPROCS workers, with every intermediate buffer drawn from
-// the engine's pools; only polar cells some XY cell actually samples are
-// computed. In degraded mode (partial alpha), anchors with no usable band
-// are skipped entirely — their perAnchor entry is nil and they contribute
-// nothing to the combined sum.
+// The surface is the one every full-grid fix localizes on: the float32
+// refinement routine (gated.go) with every tile selected, run on the
+// calling goroutine. In degraded mode (partial alpha), anchors with no
+// usable band are skipped entirely — their perAnchor entry is nil and
+// they contribute nothing to the combined sum.
 func (e *Engine) Likelihood(a *Alpha) (combined *dsp.Grid, perAnchor []*dsp.Grid) {
 	perAnchor = make([]*dsp.Grid, a.NumAnchors())
-	combined = e.likelihood(a, perAnchor)
+	combined = e.fullLikelihood(a, perAnchor)
 	return combined, perAnchor
-}
-
-// likelihoodCombined is the fix-path variant: per-anchor maps stay in the
-// pools and only the combined grid (owned by the caller) is produced.
-func (e *Engine) likelihoodCombined(a *Alpha) *dsp.Grid {
-	return e.likelihood(a, nil)
-}
-
-// likelihood runs the tiled fix pipeline. When perAnchor is non-nil the
-// per-anchor XY grids are handed to it (ownership transfers to the
-// caller); otherwise they are recycled.
-func (e *Engine) likelihood(a *Alpha, perAnchor []*dsp.Grid) *dsp.Grid {
-	ps := e.planesFor(a.Freqs)
-	projs := e.projections(a.Ref)
-	I := a.NumAnchors()
-	T := len(e.thetas)
-	combined := dsp.NewGrid(e.nx, e.ny)
-
-	activeBuf := e.getInts(I)
-	active := *activeBuf
-	for i := 0; i < I; i++ {
-		if a.PresentBands(i) > 0 {
-			active = append(active, i)
-		}
-	}
-	nA := len(active)
-	if nA == 0 {
-		e.putInts(activeBuf)
-		return combined
-	}
-
-	run := e.getRun()
-	run.polars = growGrids(run.polars, nA)
-	run.xys = growGrids(run.xys, nA)
-	run.inv = growFloats(run.inv, nA)
-	run.off = growInts(run.off, nA)
-	for ai := 0; ai < nA; ai++ {
-		run.polars[ai] = e.polarPool.Get()
-		run.xys[ai] = e.xyPool.Get()
-	}
-
-	// Round 1: polar likelihood, tiled over (anchor, θ rows).
-	polarTiles := (T + polarRowTile - 1) / polarRowTile
-	parallelFor(nA*polarTiles, func(task int) {
-		ai := task / polarTiles
-		row0 := (task % polarTiles) * polarRowTile
-		row1 := row0 + polarRowTile
-		if row1 > T {
-			row1 = T
-		}
-		acc := e.getFloats(2 * len(e.deltas))
-		e.polarFill(ps, projs, a, active[ai], run.polars[ai], row0, row1, *acc, true)
-		e.putFloats(acc)
-	})
-
-	// Round 2: polar → XY projection, tiled over (anchor, packed cells),
-	// collecting per-tile partial maxima for the normalization.
-	totalTiles := 0
-	for ai, i := range active {
-		run.off[ai] = totalTiles
-		totalTiles += (len(projs[i].cells) + projCellTile - 1) / projCellTile
-	}
-	run.maxima = growFloats(run.maxima, totalTiles)
-	parallelFor(totalTiles, func(task int) {
-		ai := nA - 1
-		for j := 1; j < nA; j++ {
-			if task < run.off[j] {
-				ai = j - 1
-				break
-			}
-		}
-		pr := &projs[active[ai]]
-		lo := (task - run.off[ai]) * projCellTile
-		hi := lo + projCellTile
-		if hi > len(pr.cells) {
-			hi = len(pr.cells)
-		}
-		run.maxima[task] = e.projectPolar(run.polars[ai], pr, run.xys[ai], lo, hi)
-	})
-
-	// Per-anchor normalization factors (Normalize leaves all-zero maps
-	// unchanged, hence the max > 0 guard).
-	for ai := 0; ai < nA; ai++ {
-		end := totalTiles
-		if ai+1 < nA {
-			end = run.off[ai+1]
-		}
-		var m float64
-		for _, v := range run.maxima[run.off[ai]:end] {
-			if v > m {
-				m = v
-			}
-		}
-		run.inv[ai] = 1
-		if e.cfg.NormalizePerAnchor && m > 0 {
-			run.inv[ai] = 1 / m
-		}
-	}
-
-	// Round 3: scaled sum into the combined grid, tiled over XY rows.
-	sumTiles := (e.ny + sumRowTile - 1) / sumRowTile
-	parallelFor(sumTiles, func(task int) {
-		lo := task * sumRowTile * e.nx
-		hi := lo + sumRowTile*e.nx
-		if hi > len(combined.Data) {
-			hi = len(combined.Data)
-		}
-		cd := combined.Data[lo:hi]
-		for ai := 0; ai < nA; ai++ {
-			inv := run.inv[ai]
-			xd := run.xys[ai].Data[lo:hi]
-			for c := range cd {
-				cd[c] += inv * xd[c]
-			}
-		}
-	})
-
-	for ai := 0; ai < nA; ai++ {
-		e.polarPool.Put(run.polars[ai])
-		if perAnchor != nil {
-			// Hand the (pool-zeroed, fully painted) grid to the caller,
-			// applying the normalization Likelihood's contract promises.
-			xy := run.xys[ai]
-			if e.cfg.NormalizePerAnchor {
-				scaleGrid(xy, run.inv[ai])
-			}
-			perAnchor[active[ai]] = xy
-		} else {
-			e.xyPool.Put(run.xys[ai])
-		}
-		run.polars[ai], run.xys[ai] = nil, nil
-	}
-	e.putRun(run)
-	e.putInts(activeBuf)
-	return combined
-}
-
-// scaleGrid multiplies every cell by f (f = 1 is an exact no-op in IEEE
-// arithmetic, so no special case is needed).
-func scaleGrid(g *dsp.Grid, f float64) {
-	for i := range g.Data {
-		g.Data[i] *= f
-	}
 }
 
 // AngleLikelihoodXY maps Eq. 15 over the XY plane for one anchor: each

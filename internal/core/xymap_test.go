@@ -11,8 +11,9 @@ import (
 )
 
 func TestPolarToXYBounds(t *testing.T) {
-	// Cells behind an array or outside the Δ range must stay zero, and
-	// everything in front must be finite and non-negative.
+	// Cells behind an array or outside the Δ range must stay zero in the
+	// anchor's projected map, and everything in front must be finite and
+	// non-negative.
 	env := testbed.CleanEnvironment(31)
 	d, err := testbed.New(env, testbed.Config{Anchors: 2, Antennas: 4, Seed: 31})
 	if err != nil {
@@ -23,8 +24,8 @@ func TestPolarToXYBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polar := e.polarLikelihood(a, 1)
-	xy := e.polarToXY(polar, 1, 0)
+	_, per := e.Likelihood(a)
+	xy := per[1]
 	nx, ny := e.GridSize()
 	arr := d.Anchors[1]
 	for iy := 0; iy < ny; iy++ {
@@ -55,14 +56,27 @@ func TestPolarLikelihoodNonNegativeAndPeaked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polar := e.polarLikelihood(a, 1)
-	gmax, ix, iy := polar.Max()
-	if gmax <= 0 {
+	// The production kernel at the default strides, over the whole plane.
+	polar, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	ps := e.planesFor(a.Freqs)
+	bfCoeffs(ps, a, 1, avp)
+	e.polarFill32(ps, a, 1, polar, rowLo, rowHi, acc, avp)
+	D := len(e.deltas)
+	best := 0
+	for i, v := range polar {
+		if v < 0 || math.IsNaN(float64(v)) {
+			t.Fatalf("polar cell %d = %v", i, v)
+		}
+		if v > polar[best] {
+			best = i
+		}
+	}
+	if polar[best] <= 0 {
 		t.Fatal("empty polar likelihood")
 	}
 	// The max must sit near the true (θ, Δ).
-	gotTheta := e.thetas[iy]
-	gotDelta := e.deltas[ix]
+	gotTheta := e.thetas[best/D]
+	gotDelta := e.deltas[best%D]
 	wantTheta := d.Anchors[1].AngleTo(tag)
 	wantDelta := tag.Dist(d.Anchors[1].Antenna(0)) - tag.Dist(d.Anchors[0].Antenna(0))
 	if math.Abs(gotTheta-wantTheta) > geom.Rad(4) {

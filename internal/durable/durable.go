@@ -58,7 +58,8 @@ type AnchorHealth struct {
 
 // TagTrack is one tag's persisted Kalman filter: the [x, y, vx, vy] state
 // mean, the row-major 4×4 covariance, the gate-miss count and the wall
-// clock of the last fused fix (so a restart can compute the first dt).
+// clock of the filter's last update, accepted or gated out (so a restart
+// can compute the first dt).
 type TagTrack struct {
 	Tag             uint16
 	Initialized     bool

@@ -112,11 +112,11 @@ func (s *Suite) runFixes(fixes, workers int) error {
 	return fail
 }
 
-// MaxKernelDivergence localizes the first n dataset snapshots with both
-// the optimized and the reference likelihood kernels and returns the
-// largest absolute per-cell divergence seen on the combined surfaces —
-// the eval-level guarantee that every figure the suite produces is
-// unchanged by the performance work.
+// MaxKernelDivergence evaluates the combined likelihood of the first n
+// dataset snapshots with both the production float32 kernel and the
+// float64 reference kernel and returns the largest absolute per-cell
+// divergence seen — the eval-level bound on how far the surfaces every
+// figure localizes on sit from the reference.
 func (s *Suite) MaxKernelDivergence(n int) (float64, error) {
 	if n > len(s.DS.Snapshots) {
 		n = len(s.DS.Snapshots)

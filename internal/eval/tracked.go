@@ -189,8 +189,13 @@ type GatedPoint struct {
 	Gated        ErrorStats
 	Full         ErrorStats
 	FallbackRate float64 // gated attempts refused by a trigger
-	GatedNs      float64 // mean ns per gated-path localization
-	FullNs       float64 // mean ns per full-grid localization
+	// Fallbacks counts the gated attempts that fell back to the full
+	// grid; TrackRejected counts those whose full-grid fix the Kalman
+	// track gate then rejected — full-grid work bought for a fix the
+	// tracker discards.
+	Fallbacks, TrackRejected int
+	GatedNs                  float64 // mean ns per gated-path localization
+	FullNs                   float64 // mean ns per full-grid localization
 }
 
 // AblationGated walks one tag through increasingly adversarial motion —
@@ -198,7 +203,8 @@ type GatedPoint struct {
 // localizes every step through both the full grid and the tracker-
 // prior-gated search. The gated estimates must match the full-grid CDF
 // (the gate only decides where to look); the fallback rate shows the
-// hysteresis pricing each regime.
+// hysteresis pricing each regime, and the count of fallback fixes the
+// track gate rejects prices a cheaper fallback.
 func AblationGated(seed uint64, steps int) ([]GatedPoint, error) {
 	type scenario struct {
 		name     string
@@ -235,6 +241,7 @@ func AblationGated(seed uint64, steps int) ([]GatedPoint, error) {
 		var (
 			gatedErrs, fullErrs []float64
 			attempts, fallbacks int
+			rejected            int
 			gatedNs, fullNs     int64
 		)
 		for i := 0; i < steps; i++ {
@@ -282,16 +289,22 @@ func AblationGated(seed uint64, steps int) ([]GatedPoint, error) {
 			}
 			gatedErrs = append(gatedErrs, res.Estimate.Dist(pos))
 			fullErrs = append(fullErrs, full.Estimate.Dist(pos))
-			if _, _, err := f.Update(res.Estimate, 0.1); err != nil {
+			_, ok, err := f.Update(res.Estimate, 0.1)
+			if err != nil {
 				return nil, fmt.Errorf("gated ablation %q step %d (track): %w", sc.name, i, err)
+			}
+			if res.Fallback != "" && !ok {
+				rejected++
 			}
 		}
 		p := GatedPoint{
-			Name:    sc.name,
-			Gated:   NewErrorStats(gatedErrs),
-			Full:    NewErrorStats(fullErrs),
-			GatedNs: float64(gatedNs) / float64(steps),
-			FullNs:  float64(fullNs) / float64(steps),
+			Name:          sc.name,
+			Gated:         NewErrorStats(gatedErrs),
+			Full:          NewErrorStats(fullErrs),
+			Fallbacks:     fallbacks,
+			TrackRejected: rejected,
+			GatedNs:       float64(gatedNs) / float64(steps),
+			FullNs:        float64(fullNs) / float64(steps),
 		}
 		if attempts > 0 {
 			p.FallbackRate = float64(fallbacks) / float64(attempts)
@@ -305,12 +318,13 @@ func AblationGated(seed uint64, steps int) ([]GatedPoint, error) {
 func GatedTable(ps []GatedPoint) *Table {
 	t := &Table{
 		Title:   "Ablation — prior-gated search vs full grid under tag mobility",
-		Columns: []string{"scenario", "gated median (cm)", "full median (cm)", "gated p90 (cm)", "full p90 (cm)", "fallback", "gated µs/fix", "full µs/fix"},
+		Columns: []string{"scenario", "gated median (cm)", "full median (cm)", "gated p90 (cm)", "full p90 (cm)", "fallback", "track-rejected fallbacks", "gated µs/fix", "full µs/fix"},
 	}
 	for _, p := range ps {
 		t.AddRow(p.Name, Cm(p.Gated.Median), Cm(p.Full.Median),
 			Cm(p.Gated.P90), Cm(p.Full.P90),
 			fmt.Sprintf("%.0f%%", 100*p.FallbackRate),
+			fmt.Sprintf("%d of %d", p.TrackRejected, p.Fallbacks),
 			fmt.Sprintf("%.0f", p.GatedNs/1e3), fmt.Sprintf("%.0f", p.FullNs/1e3))
 	}
 	return t

@@ -42,6 +42,9 @@ func TestAblationGatedParity(t *testing.T) {
 		if p.FallbackRate < 0 || p.FallbackRate > 1 {
 			t.Errorf("%s: fallback rate %.2f outside [0,1]", p.Name, p.FallbackRate)
 		}
+		if p.TrackRejected < 0 || p.TrackRejected > p.Fallbacks {
+			t.Errorf("%s: %d track-rejected of %d fallbacks", p.Name, p.TrackRejected, p.Fallbacks)
+		}
 	}
 	// The adversarial scenarios must actually exercise the fallback
 	// triggers — otherwise the ablation is not testing the gate.
