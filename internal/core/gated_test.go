@@ -250,10 +250,10 @@ func fullPlaneScratch(e *Engine, a *Alpha) (polar []float32, rowLo, rowHi []int3
 }
 
 // TestPolarFill32Golden compares the float32 kernel against the float64
-// reference kernel over the full polar plane: relative error (against the plane
-// maximum) must stay within float32 accumulation noise. RefineDeltaStep
-// is pinned to 1 so every column is evaluated exactly; the default
-// stride's interpolation error is bounded separately by
+// reference kernel over the full polar plane: relative error (against
+// the plane maximum) must stay within float32 accumulation noise.
+// RefineDeltaStep is pinned to 1 so every column is evaluated exactly;
+// the default stride's interpolation error is bounded separately by
 // TestPolarFill32InterpError.
 func TestPolarFill32Golden(t *testing.T) {
 	d, err := testbed.Paper(21)
@@ -303,10 +303,10 @@ func TestPolarFill32Golden(t *testing.T) {
 // TestPolarFill32InterpError bounds the Δ-interpolation error of the
 // default RefineDeltaStep: at cells above 30% of the plane maximum —
 // the ones that shape candidate peaks — the interpolated plane must
-// stay within 2% of the exact float64 reference kernel. The magnitude profile is
-// band-limited along Δ by the sounded channel spread, which is what
-// makes the strided sweep admissible at all; this test is the tripwire
-// if a future grid or band-plan change breaks that assumption.
+// stay within 2% of the exact float64 reference kernel. The magnitude
+// profile is band-limited along Δ by the sounded channel spread, which
+// is what makes the strided sweep admissible at all; this test is the
+// tripwire if a future grid or band-plan change breaks that assumption.
 func TestPolarFill32InterpError(t *testing.T) {
 	d, err := testbed.Paper(23)
 	if err != nil {
