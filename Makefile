@@ -114,12 +114,14 @@ bench-build:
 # Everything CI runs, in CI's order.
 ci: vet lint bench-build test race soak chaos chaos-cells chaos-degrade drill overload stress
 
-# Native fuzzing smoke pass: the wire protocol and the durable snapshot
-# decoder, each over its seed corpus (go test allows one -fuzz package
-# per invocation, hence two runs).
+# Native fuzzing smoke pass: the wire protocol, the durable snapshot
+# decoder and the CSI row validator against its sort-based oracle, each
+# over its seed corpus (go test allows one -fuzz package per invocation,
+# hence one run each).
 fuzz:
 	$(GO) test -fuzz=. -fuzztime=10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -run '^$$' ./internal/durable/
+	$(GO) test -fuzz=FuzzRowValidator -fuzztime=10s -run '^$$' ./internal/csi/
 
 # Micro-benchmarks (likelihood kernels + end-to-end fix) and the perf
 # report: writes BENCH_3.json with latency, allocation and throughput

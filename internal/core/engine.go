@@ -202,11 +202,11 @@ type Engine struct {
 
 	// projMu guards projSets.
 	projMu sync.RWMutex
-	// projSets holds the per-anchor polar→XY projection tables
+	// projSets holds the per-anchor Fig. 6 line-projection tables
 	// (planes.go), one set per reference anchor because Δ is measured
-	// relative to the reference's antenna 0. The set for reference 0 is
-	// built in NewEngine; other references build lazily on first use
-	// (failover is rare). Guarded by projMu.
+	// relative to the reference's antenna 0. Each set is built on first
+	// use: only AngleLikelihoodXY, DistanceLikelihoodXY and LocateAoASoft
+	// read them, never a BLoc fix. Guarded by projMu.
 	projSets map[int][]anchorProj
 
 	// XY grid geometry.
@@ -262,9 +262,10 @@ type Stats struct {
 	// PoolHits/PoolMisses count scratch acquisitions served from (resp.
 	// missing) the engine's pools; steady state is all hits.
 	PoolHits, PoolMisses uint64
-	// ProjBuilds counts projection-table constructions: one per reference
-	// anchor the engine has localized against (a healthy deployment that
-	// never fails over sits at 1).
+	// ProjBuilds counts Fig. 6 line-projection table constructions: one
+	// per reference anchor that AngleLikelihoodXY, DistanceLikelihoodXY or
+	// LocateAoASoft has painted against. The BLoc fixes never build them,
+	// so a serving engine sits at 0.
 	ProjBuilds uint64
 	// RowsMasked counts α rows that arrived in a snapshot but were zeroed
 	// by the finite/denormal guard (NaN/Inf products or zero/denormal
@@ -380,7 +381,7 @@ func NewEngine(anchors []geom.Array, cfg Config) (*Engine, error) {
 	e.ny = int(math.Ceil(cfg.Room.Height()/cfg.CellM)) + 1
 	e.x0, e.y0 = cfg.Room.Min.X, cfg.Room.Min.Y
 
-	e.projSets = map[int][]anchorProj{0: e.buildProjectionsFor(0)}
+	e.projSets = make(map[int][]anchorProj)
 	return e, nil
 }
 

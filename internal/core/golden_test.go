@@ -293,8 +293,8 @@ func TestEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := paperEngine(t, d)
-	if st := e.Stats(); st.TableBytes == 0 {
-		t.Fatal("projection tables should be accounted before any fix")
+	if st := e.Stats(); st.ProjBuilds != 0 {
+		t.Fatalf("ProjBuilds = %d after NewEngine, want 0 (the Fig. 6 tables build on demand)", st.ProjBuilds)
 	}
 	s := d.Sounding(geom.Pt(0.5, 0.5))
 	for n := 0; n < 3; n++ {
@@ -303,6 +303,12 @@ func TestEngineStats(t *testing.T) {
 		}
 	}
 	st := e.Stats()
+	if st.ProjBuilds != 0 {
+		t.Fatalf("ProjBuilds = %d after Locate, want 0 (fixes never read the Fig. 6 tables)", st.ProjBuilds)
+	}
+	if st.TableBytes == 0 {
+		t.Fatal("a fix's steering planes and tables should be accounted in TableBytes")
+	}
 	if st.Fixes != 3 {
 		t.Fatalf("Fixes = %d, want 3", st.Fixes)
 	}
@@ -324,6 +330,17 @@ func TestEngineStats(t *testing.T) {
 	}
 	if st := e.Stats(); st.PlaneBuilds != 2 {
 		t.Fatalf("PlaneBuilds = %d after second band plan, want 2", st.PlaneBuilds)
+	}
+	// The Fig. 6 angle painting builds reference 0's tables once.
+	a, err := Correct(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats().TableBytes
+	e.AngleLikelihoodXY(a, 1)
+	if st := e.Stats(); st.ProjBuilds != 1 || st.TableBytes <= before {
+		t.Fatalf("after AngleLikelihoodXY: ProjBuilds = %d (want 1), TableBytes %d → %d (want growth)",
+			st.ProjBuilds, before, st.TableBytes)
 	}
 }
 

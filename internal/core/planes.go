@@ -11,8 +11,8 @@ import (
 // geometry, the (θ, Δ) polar grids, the XY room grid and the band plan —
 // is hoisted out of the per-fix path into two kinds of tables:
 //
-//   - Projection tables (anchorProj), built once per reference anchor
-//     (reference 0 eagerly in NewEngine, failover references lazily): for
+//   - Projection tables (anchorProj), built once per reference anchor on
+//     first use by the Fig. 6 paintings and the soft-AoA baseline: for
 //     every XY cell in front of an anchor, the spectrum indices and
 //     linear weights that angleSpectrumToXY / DistanceLikelihoodXY would
 //     otherwise re-derive with atan2/hypot per cell per fix. Cells that
@@ -52,9 +52,8 @@ type anchorProj struct {
 }
 
 // projections returns the per-anchor projection tables for the given
-// reference anchor, building and caching them on first use. Reference 0
-// is built eagerly in NewEngine, so the steady state (no failover) is a
-// shared-lock map hit.
+// reference anchor, building and caching them on first use; later calls
+// are a shared-lock map hit.
 func (e *Engine) projections(ref int) []anchorProj {
 	e.projMu.RLock()
 	set, ok := e.projSets[ref]

@@ -147,9 +147,15 @@ type anchorQState struct {
 	havePrev  bool    // lastPhase valid
 	haveDelta bool    // lastDelta valid
 	frozenRun int
-	window    []float64 // ring of accepted log10 row magnitudes
-	wpos      int
-	wlen      int
+	// The magnitude window is held twice: window is a ring in arrival
+	// order, which decides the entry a full window evicts, and sorted
+	// holds the same len(sorted) entries ascending, which medianMAD reads
+	// without sorting. Neither ever holds NaN: a row's log magnitude is
+	// the log of a mean of non-negative magnitudes, which may overflow to
+	// +Inf but is never NaN.
+	window []float64
+	sorted []float64
+	wpos   int
 }
 
 // RowValidator validates snapshot rows in arrival order and keeps the
@@ -157,21 +163,17 @@ type anchorQState struct {
 // safe for concurrent use; callers serialize (the locserver holds its
 // mutex across ingest).
 type RowValidator struct {
-	cfg     QualityConfig
-	state   []anchorQState
-	scratch []float64 // median sort buffer
+	cfg   QualityConfig
+	state []anchorQState
 }
 
 // NewRowValidator returns a validator for the given anchor count.
 func NewRowValidator(anchors int, cfg QualityConfig) *RowValidator {
 	c := cfg.withDefaults()
-	v := &RowValidator{
-		cfg:     c,
-		state:   make([]anchorQState, anchors),
-		scratch: make([]float64, 0, c.MADWindow),
-	}
+	v := &RowValidator{cfg: c, state: make([]anchorQState, anchors)}
 	for i := range v.state {
 		v.state[i].window = make([]float64, c.MADWindow)
+		v.state[i].sorted = make([]float64, 0, c.MADWindow)
 	}
 	return v
 }
@@ -248,8 +250,8 @@ func (v *RowValidator) Check(anchor int, tones []complex128, master complex128) 
 	// Magnitude MAD outlier against the anchor's rolling window.
 	logMag := math.Log10(sumMag / float64(len(tones)))
 	outlier := false
-	if st.wlen >= v.cfg.MADMinSamples {
-		med, mad := v.medianMAD(st)
+	if len(st.sorted) >= v.cfg.MADMinSamples {
+		med, mad := st.medianMAD()
 		if mad < madFloor {
 			mad = madFloor
 		}
@@ -260,11 +262,7 @@ func (v *RowValidator) Check(anchor int, tones []complex128, master complex128) 
 	// a persistent legitimate level shift (the tag walked away, a second
 	// tag joined) becomes the new baseline within half a window instead of
 	// being rejected forever against stale history.
-	st.window[st.wpos] = logMag
-	st.wpos = (st.wpos + 1) % len(st.window)
-	if st.wlen < len(st.window) {
-		st.wlen++
-	}
+	st.push(logMag)
 	if outlier {
 		return RowMagOutlier
 	}
@@ -281,8 +279,8 @@ func (v *RowValidator) Reset(anchor int) {
 	if anchor < 0 || anchor >= len(v.state) {
 		return
 	}
-	w := v.state[anchor].window
-	v.state[anchor] = anchorQState{window: w}
+	st := &v.state[anchor]
+	*st = anchorQState{window: st.window, sorted: st.sorted[:0]}
 }
 
 func (st *anchorQState) resetRuns() {
@@ -293,19 +291,84 @@ func (st *anchorQState) resetRuns() {
 	st.frozenRun = 0
 }
 
-// medianMAD returns the median and the median absolute deviation of the
-// anchor's magnitude window.
-func (v *RowValidator) medianMAD(st *anchorQState) (med, mad float64) {
-	s := append(v.scratch[:0], st.window[:st.wlen]...)
-	sort.Float64s(s)
-	med = s[len(s)/2]
-	for i, x := range s {
-		s[i] = math.Abs(x - med)
+// push folds one log magnitude into the anchor's window. While the
+// window fills, x is inserted into the sorted copy; once full, the ring
+// names the entry x evicts, and x takes its place in the sorted copy with
+// one shift of the entries between the two positions. Each step is a
+// binary search plus a memmove of at most MADWindow floats.
+func (st *anchorQState) push(x float64) {
+	old := st.window[st.wpos] // the evicted entry, once the window is full
+	st.window[st.wpos] = x
+	st.wpos = (st.wpos + 1) % len(st.window)
+	s := st.sorted
+	if n := len(s); n < len(st.window) {
+		i := sort.SearchFloat64s(s, x)
+		st.sorted = s[:n+1]
+		copy(st.sorted[i+1:], s[i:])
+		st.sorted[i] = x
+		return
 	}
-	sort.Float64s(s)
-	mad = s[len(s)/2]
-	v.scratch = s
-	return med, mad
+	i := sort.SearchFloat64s(s, old) // s[i] == old: the window holds no NaN
+	if x >= old {
+		j := i + 1 + sort.SearchFloat64s(s[i+1:], x)
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = x
+	} else {
+		j := sort.SearchFloat64s(s[:i], x)
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = x
+	}
+}
+
+// medianMAD returns the median and the median absolute deviation of the
+// anchor's magnitude window in O(window), reading the sorted copy. Both
+// statistics take the upper middle element (index n/2) of their sorted
+// values. The median is sorted[m], m = n/2. The deviations form two
+// ascending runs outward from it, sorted[m]−med, sorted[m+1]−med, … and
+// med−sorted[m−1], med−sorted[m−2], …, and the MAD is element m of their
+// merge. The differential tests pin both, bit for bit, to a sort-based
+// oracle.
+func (st *anchorQState) medianMAD() (med, mad float64) {
+	s := st.sorted
+	n := len(s)
+	m := n / 2
+	med = s[m]
+	if math.IsInf(med, 0) {
+		return med, infMAD(s, med)
+	}
+	// Merge m deviations off the two runs; neither runs dry inside the
+	// loop (the upper run holds n−m ≥ m entries, the lower exactly m).
+	hi, lo := m, m-1
+	for k := 0; k < m; k++ {
+		if s[hi]-med <= med-s[lo] {
+			hi++
+		} else {
+			lo--
+		}
+	}
+	switch {
+	case hi == n:
+		return med, med - s[lo]
+	case lo < 0:
+		return med, s[hi] - med
+	default:
+		return med, min(s[hi]-med, med-s[lo])
+	}
+}
+
+// infMAD is the MAD of a window whose median is infinite, as an ordinary
+// sort of the deviations |x−med| would yield it. A window entry equal to
+// med deviates by Inf−Inf = NaN, every other entry by +Inf, and a sort
+// orders NaN first. So the MAD is NaN when more than n/2 entries equal
+// med, and +Inf otherwise, which happens only for an even window whose
+// upper half alone is +Inf. Either way the outlier test, a comparison
+// against Inf or NaN, rejects nothing.
+func infMAD(s []float64, med float64) float64 {
+	n := len(s)
+	if med > 0 && n%2 == 0 && s[n/2-1] < med {
+		return math.Inf(1)
+	}
+	return math.Abs(med - med) // Inf−Inf: the NaN the deviations hold
 }
 
 func finiteTone(z complex128) bool {

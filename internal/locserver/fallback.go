@@ -28,7 +28,8 @@ type fbKey struct {
 // fbBucket accumulates one round's rows.
 type fbBucket struct {
 	snap *csi.Snapshot
-	got  map[[2]uint16]bool // (anchorID, bandIdx) already received
+	rows []bool // received, indexed anchor*len(bands) + band
+	got  int    // rows received
 }
 
 // maxFallbackBuckets bounds the collector; at the cap the buckets are
@@ -80,20 +81,21 @@ func (fc *fallbackCollector) add(cell int, row *wire.CSIRow) (*csi.Snapshot, boo
 		}
 		b = &fbBucket{
 			snap: csi.NewSnapshot(fc.bands, fc.anchors, fc.antennas),
-			got:  make(map[[2]uint16]bool),
+			rows: make([]bool, fc.anchors*len(fc.bands)),
 		}
 		fc.buckets[k] = b
 	}
-	key := [2]uint16{uint16(row.AnchorID), row.BandIdx}
-	if b.got[key] {
+	idx := int(row.AnchorID)*len(fc.bands) + int(row.BandIdx)
+	if b.rows[idx] {
 		return nil, false
 	}
-	b.got[key] = true
+	b.rows[idx] = true
+	b.got++
 	copy(b.snap.Tag[row.BandIdx][row.AnchorID], row.Tag)
 	if row.AnchorID != 0 {
 		b.snap.Master[row.BandIdx][row.AnchorID] = row.Master
 	}
-	if len(b.got) >= fc.anchors*len(fc.bands) {
+	if b.got >= len(b.rows) {
 		delete(fc.buckets, k)
 		return b.snap, true
 	}

@@ -1,6 +1,7 @@
 package locserver
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -122,7 +123,8 @@ func (ing *cellIngress) serveConn(conn net.Conn) {
 		ing.mu.Unlock()
 	}()
 	f, cellIdx := ing.f, ing.c.idx
-	msg, err := wire.Receive(conn)
+	br := bufio.NewReader(conn) // one buffer for every frame, as in Server.handle
+	msg, err := wire.Receive(br)
 	if err != nil {
 		return
 	}
@@ -138,7 +140,7 @@ func (ing *cellIngress) serveConn(conn net.Conn) {
 		return
 	}
 	for {
-		msg, err := wire.Receive(conn)
+		msg, err := wire.Receive(br)
 		if err != nil {
 			return // EOF, framing garbage, or stop() closed the conn
 		}

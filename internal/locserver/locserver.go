@@ -37,6 +37,7 @@
 package locserver
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -373,13 +374,22 @@ func (s *Server) sendClient(c *client, msg any) error {
 	return err
 }
 
+// rowState is what a pending round holds of one (anchor, band) row.
+type rowState uint8
+
+const (
+	rowMissing  rowState = iota
+	rowAccepted          // passed the sanity pipeline
+	rowRejected          // received but rejected by the sanity pipeline
+)
+
 type pendingRound struct {
 	snap  *csi.Snapshot
-	got   map[[2]uint16]bool // (anchorID, bandIdx) already received
-	bad   map[[2]uint16]bool // received but rejected by the sanity pipeline
-	quar  []bool             // anchors quarantined when the round started
-	ref   int                // reference elected when the round started
-	timer *time.Timer        // deadline; nil when RoundDeadline is 0
+	rows  []rowState  // indexed anchor*len(Bands) + band
+	got   int         // rows received (accepted or rejected)
+	quar  []bool      // anchors quarantined when the round started
+	ref   int         // reference elected when the round started
+	timer *time.Timer // deadline; nil when RoundDeadline is 0
 
 	start     time.Time // first-row arrival; deadline-budget + latency reference
 	seen      []bool    // anchors with ≥1 row this round (latency observed once each)
@@ -669,7 +679,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	msg, err := wire.Receive(conn)
+	// One buffered reader carries every frame of the connection, so rows
+	// that arrive back to back (a round's bands, written as one batch or
+	// queued in the socket) cost one read syscall per buffer fill instead
+	// of two per frame.
+	br := bufio.NewReader(conn)
+	msg, err := wire.Receive(br)
 	if err != nil {
 		s.log.Warn("connection dropped before hello", "remote", conn.RemoteAddr(), "err", err)
 		return
@@ -694,7 +709,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.log.Info("anchor connected", "anchor", hello.AnchorID, "remote", conn.RemoteAddr())
 
 	for {
-		msg, err := wire.Receive(conn)
+		msg, err := wire.Receive(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				// Framing garbage, oversized frames and truncated payloads
@@ -800,8 +815,7 @@ func (s *Server) ingest(row *wire.CSIRow) {
 		}
 		pr = &pendingRound{
 			snap:  csi.NewSnapshot(s.cfg.Bands, s.cfg.Anchors, s.cfg.Antennas),
-			got:   make(map[[2]uint16]bool),
-			bad:   make(map[[2]uint16]bool),
+			rows:  make([]rowState, s.cfg.Anchors*len(s.cfg.Bands)),
 			quar:  s.health.quarantinedSetLocked(),
 			ref:   s.health.referenceLocked(),
 			start: s.now(),
@@ -831,11 +845,11 @@ func (s *Server) ingest(row *wire.CSIRow) {
 		pr.seen[a] = true
 		s.health.observeLatencyLocked(a, s.now().Sub(pr.start))
 	}
-	key := [2]uint16{uint16(row.AnchorID), row.BandIdx}
-	if pr.got[key] {
+	idx := int(row.AnchorID)*len(s.cfg.Bands) + int(row.BandIdx)
+	if pr.rows[idx] != rowMissing {
 		return // duplicate (transport resend); never re-validated
 	}
-	pr.got[key] = true
+	pr.got++
 	if pr.nonLagAll > 0 && !pr.laggy[row.AnchorID] {
 		pr.nonLagGot++
 	}
@@ -847,16 +861,19 @@ func (s *Server) ingest(row *wire.CSIRow) {
 	s.health.observeLocked(int(row.AnchorID), verdict)
 	if !verdict.OK() {
 		s.stats.RowsRejected++
-		pr.bad[key] = true
+		pr.rows[idx] = rowRejected
 		s.log.Debug("csi row rejected", "anchor", row.AnchorID, "band", row.BandIdx,
 			"round", row.Round, "verdict", verdict.String())
-	} else if !pr.quar[row.AnchorID] {
-		copy(pr.snap.Tag[row.BandIdx][row.AnchorID], row.Tag)
-		if row.AnchorID != 0 {
-			pr.snap.Master[row.BandIdx][row.AnchorID] = row.Master
+	} else {
+		pr.rows[idx] = rowAccepted
+		if !pr.quar[row.AnchorID] {
+			copy(pr.snap.Tag[row.BandIdx][row.AnchorID], row.Tag)
+			if row.AnchorID != 0 {
+				pr.snap.Master[row.BandIdx][row.AnchorID] = row.Master
+			}
 		}
 	}
-	full := len(pr.got) >= s.cfg.Anchors*len(s.cfg.Bands)
+	full := pr.got >= len(pr.rows)
 	// Straggler-aware early completion: once every non-laggy anchor has
 	// delivered every band, waiting the rest of the deadline only buys
 	// rows from anchors already excluded from the quorum.
@@ -904,11 +921,11 @@ func (s *Server) roundDeadline(rk roundKey) {
 	s.mu.Unlock()
 	if !usable {
 		s.log.Warn("round evicted at deadline", "tag", rk.tag, "round", rk.round,
-			"rows", len(pr.got), "of", s.cfg.Anchors*len(s.cfg.Bands))
+			"rows", pr.got, "of", len(pr.rows))
 		return
 	}
 	s.log.Info("round completed at deadline", "tag", rk.tag, "round", rk.round,
-		"coarse", info.Coarse, "ref", info.Ref, "rows", len(pr.got))
+		"coarse", info.Coarse, "ref", info.Ref, "rows", pr.got)
 }
 
 // finalizeLocked assesses one assembled round against the quorums, masks
@@ -921,8 +938,7 @@ func (s *Server) roundDeadline(rk roundKey) {
 func (s *Server) finalizeLocked(rk roundKey, pr *pendingRound, full bool) (*csi.Snapshot, RoundInfo, bool) {
 	K := len(s.cfg.Bands)
 	goodRow := func(i, k int) bool {
-		key := [2]uint16{uint16(i), uint16(k)}
-		return pr.got[key] && !pr.bad[key] && !pr.quar[i]
+		return pr.rows[i*K+k] == rowAccepted && !pr.quar[i]
 	}
 	// A band supports α correction for anchor i only when both i's row
 	// and the reference's row survived: without ĥ_r0 there is nothing to
