@@ -38,11 +38,14 @@ chaos:
 # schedule on every restart/panic/breaker counter. Plus the supervisor
 # state machine, the per-link circuit breaker, the fleet router, the
 # shutdown idempotence regressions and the durable-store concurrency
-# drill that back it.
+# drill that back it. Plus the bloc-server process itself, which runs
+# every deployment as a fleet (one and two cells served end to end,
+# SIGTERM right after the listening line), and the per-cell estimator
+# its fix workers share.
 chaos-cells:
 	$(GO) test -race -count=1 \
-		-run 'ChaosCells|Supervisor|Breaker|Fleet|CellKiller|DrainClose|StoreConcurrent' \
-		./internal/locserver/ ./internal/faultnet/ ./internal/durable/
+		-run 'ChaosCells|Supervisor|Breaker|Fleet|CellKiller|DrainClose|StoreConcurrent|ServerProcess|LocateRungs|LocateConcurrent|TagStateBounded|ExportRestoreRoundTrip|SmoothDt' \
+		./internal/locserver/ ./internal/faultnet/ ./internal/durable/ ./cmd/bloc-server/ ./internal/estimator/
 
 # Degradation-ladder chaos drill (DESIGN.md §16) under the race detector:
 # a scripted fault schedule walks a fingerprint-enabled server down every
