@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint bench-build ci fuzz bench bench-check perf figures figures-full clean
+.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint bench-build cross ci fuzz bench bench-check perf figures figures-full clean
 
 all: vet lint test build
 
@@ -114,35 +114,48 @@ lint: build
 bench-build:
 	cd servebench && GOWORK=off GOFLAGS= $(GO) vet ./...
 
+# Cross-architecture check of the polar row kernel (internal/core): the
+# portable Go path must build and vet where the AVX2 assembly does not
+# exist (arm64, which also fuses multiply-adds the float32 conversions
+# forbid), and the bit-parity, golden and polar-fill tests must hold
+# when the compiler may use every AVX2-era instruction (GOAMD64=v3).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/core/
+	GOAMD64=v3 $(GO) test -count=1 -run 'KernelPaths|Golden|PolarFill32|MatchReference|Parity|Paint' ./internal/core/
+
 # Everything CI runs, in CI's order.
-ci: vet lint bench-build test race soak chaos chaos-cells chaos-degrade drill overload stress
+ci: vet lint bench-build cross test race soak chaos chaos-cells chaos-degrade drill overload stress
 
 # Native fuzzing smoke pass: the wire protocol, the durable snapshot
-# decoder and the CSI row validator against its sort-based oracle, each
-# over its seed corpus (go test allows one -fuzz package per invocation,
-# hence one run each).
+# decoder, the CSI row validator against its sort-based oracle and the
+# AVX2 polar row kernel against the Go kernel, each over its seed corpus
+# (go test allows one -fuzz package per invocation, hence one run each).
 fuzz:
 	$(GO) test -fuzz=. -fuzztime=10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -run '^$$' ./internal/durable/
 	$(GO) test -fuzz=FuzzRowValidator -fuzztime=10s -run '^$$' ./internal/csi/
+	$(GO) test -fuzz=FuzzPolarRow -fuzztime=10s -run '^$$' ./internal/core/
 
-# Micro-benchmarks (likelihood kernels + end-to-end fix) and the perf
-# report: writes BENCH_3.json with latency, allocation and throughput
-# figures for the steady-state fix path.
+# Micro-benchmarks (likelihood kernels per row-kernel path + end-to-end
+# fix) and the perf report: writes BENCH_3.json with latency, allocation,
+# throughput and exact work figures for the steady-state fix path, each
+# timing the median of 5 interleaved passes.
 bench:
-	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarFill32$$|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
+	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarFill32$$|PolarRow|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
 	$(GO) run ./cmd/bloc-bench -exp perf -bench-out BENCH_3.json
 
 # CI smoke: quick perf measurement compared against the committed report;
-# fails on compile breakage or a >2x latency regression.
+# fails on compile breakage or a >2x regression of the median pass.
 bench-check:
 	$(GO) run ./cmd/bloc-bench -exp perf -perf-fixes 10 -check BENCH_3.json
 
-# Perf smoke: the gated vs full-grid fix micro-benchmarks plus the quick
-# regression check against the committed report — gates both the
-# full-grid and the tracked (prior-gated) latency at 2x.
+# Perf smoke: the gated vs full-grid fix and per-path row-kernel
+# micro-benchmarks plus the quick regression check against the committed
+# report — gates both the full-grid and the tracked (prior-gated) median
+# latency at 2x.
 perf:
-	$(GO) test -run '^$$' -bench 'GatedFix|FullGridFix' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'GatedFix|FullGridFix|PolarRow' -benchmem ./internal/core/
 	$(GO) run ./cmd/bloc-bench -exp perf -perf-fixes 10 -check BENCH_3.json
 
 # Every table and figure of the paper at reduced scale (~2 min, 1 core).

@@ -37,7 +37,7 @@ func main() {
 		out       = flag.String("out", "", "directory for CSV series (optional)")
 
 		// -exp perf flags.
-		perfFixes  = flag.Int("perf-fixes", 50, "fixes per perf measurement point")
+		perfFixes  = flag.Int("perf-fixes", 50, "fixes per perf measurement point and pass")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the perf run")
 		memprofile = flag.String("memprofile", "", "write a heap profile after the perf run")
 		benchOut   = flag.String("bench-out", "", "write the perf report as JSON (e.g. BENCH_3.json)")

@@ -374,6 +374,7 @@ func logStats(ctx context.Context, logger *slog.Logger, ivl time.Duration, eng *
 			"fallback_fixes", fs.FallbackFixes,
 			"fallback_panics", fs.FallbackPanics,
 			"fallback_dropped", fs.FallbackDropped,
+			"fallback_lost", fs.FallbackLost,
 			"routed_tags", fs.RoutedTags,
 		)
 		for _, cs := range fs.Cells {

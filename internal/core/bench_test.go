@@ -32,13 +32,13 @@ func benchFixture(b *testing.B) (*Engine, *Alpha) {
 // production kernel at the default refinement strides.
 func BenchmarkPolarFill32(b *testing.B) {
 	e, a := benchFixture(b)
-	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	got, rowLo, rowHi, rs, avp := fullPlaneScratch(e, a)
 	ps := e.planesFor(a.Freqs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bfCoeffs(ps, a, 1, avp)
-		e.polarFill32(ps, a, 1, got, rowLo, rowHi, acc, avp)
+		e.polarFill32(ps, a, 1, got, rowLo, rowHi, rs, avp)
 	}
 }
 

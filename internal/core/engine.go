@@ -177,8 +177,9 @@ func DefaultConfig(room geom.Rect) Config {
 // Engine localizes tags from corrected channels for a fixed anchor
 // deployment. It precomputes the geometry-dependent tables once (see
 // planes.go) and can then process many snapshots concurrently; the
-// steady-state fix path draws all scratch from internal pools and
-// performs no likelihood-sized allocations.
+// steady-state fix path draws its scratch planes from internal pools
+// and allocates only what it returns — the combined likelihood grid,
+// the candidates and the Result (pool.go).
 type Engine struct {
 	cfg     Config
 	anchors []geom.Array
@@ -244,6 +245,8 @@ type Engine struct {
 	statFallbackNoPeaks  atomic.Uint64
 	statTilesRefined     atomic.Uint64
 	statTilesTotal       atomic.Uint64
+	statPolarSamples     atomic.Uint64
+	statCellsPainted     atomic.Uint64
 }
 
 // Stats is a snapshot of the engine's performance counters.
@@ -285,6 +288,13 @@ type Stats struct {
 	// refinement tiles were evaluated out of how many the room has — the
 	// refined-area fraction is TilesRefined/TilesTotal.
 	TilesRefined, TilesTotal uint64
+	// PolarSamples counts the complex multiply-accumulates the polar row
+	// kernel issued (one per band per evaluated (θ, Δ) sample, coarse
+	// and refinement passes alike); CellsPainted counts the XY cells
+	// the refinement painted. Both are exact work counts: they depend
+	// on the snapshots and the configuration, not on the host or on
+	// which row kernel ran.
+	PolarSamples, CellsPainted uint64
 }
 
 // Stats returns the engine's cumulative performance counters.
@@ -304,6 +314,8 @@ func (e *Engine) Stats() Stats {
 		FallbackNoPeaks:  e.statFallbackNoPeaks.Load(),
 		TilesRefined:     e.statTilesRefined.Load(),
 		TilesTotal:       e.statTilesTotal.Load(),
+		PolarSamples:     e.statPolarSamples.Load(),
+		CellsPainted:     e.statCellsPainted.Load(),
 	}
 }
 

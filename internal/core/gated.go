@@ -444,13 +444,12 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	clear(r.ccomb)
 	r.cpolar = growF32(r.cpolar, gt.cT*gt.cD+1)
 	r.cpolar[gt.cT*gt.cD] = 0 // headroom slot for the saturated last Δ tap
-	r.acc = growF32(r.acc, 2*gt.cD)
 	r.cmax = growF64(r.cmax, I)
 	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
 	for _, i := range r.active {
 		cp := &gt.coarse[i]
 		bfCoeffs(ps, a, i, r.avp)
-		e.coarsePolarFill32(ps, cp, a, i, gt.cT, gt.cD, r.cpolar, r.acc, r.avp)
+		e.statPolarSamples.Add(e.coarsePolarFill32(ps, cp, a, i, gt.cT, gt.cD, r.cpolar, &r.row, r.avp))
 		r.cvals = growF32(r.cvals, len(cp.src))
 		var m float32
 		for c, src := range cp.src {
@@ -668,7 +667,6 @@ func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, ti
 	T, D := len(e.thetas), len(e.deltas)
 	combined := dsp.NewGrid(e.nx, e.ny)
 	r.polar = growF32(r.polar, T*D)
-	r.acc = growF32(r.acc, 2*D)
 	r.rowLo = growI32(r.rowLo, T)
 	r.rowHi = growI32(r.rowHi, T)
 	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
@@ -704,25 +702,24 @@ func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, ti
 			continue
 		}
 		bfCoeffs(ps, a, i, r.avp)
-		e.polarFill32(ps, a, i, r.polar, r.rowLo, r.rowHi, r.acc, r.avp)
+		e.statPolarSamples.Add(e.polarFill32(ps, a, i, r.polar, r.rowLo, r.rowHi, &r.row, r.avp))
 
 		// Paint the masked tiles, collecting the painted maximum for the
 		// deferred normalization.
-		r.vals = r.vals[:0]
+		r.vals = growF32(r.vals, len(at.xy))
+		n := 0
 		var pm float32
 		for ti, on := range tiles {
 			if !on {
 				continue
 			}
-			for c := at.off[ti]; c < at.off[ti+1]; c++ {
-				v := r.polar[at.i00[c]]*at.w00[c] + r.polar[at.i10[c]]*at.w10[c] +
-					r.polar[at.i01[c]]*at.w01[c] + r.polar[at.i11[c]]*at.w11[c]
-				r.vals = append(r.vals, v)
-				if v > pm {
-					pm = v
-				}
-			}
+			c0, c1 := at.off[ti], at.off[ti+1]
+			vals := r.vals[n : n+int(c1-c0)]
+			pm = paintCells(r.polar, at.i00[c0:c1], at.i10[c0:c1], at.i01[c0:c1], at.i11[c0:c1],
+				at.w00[c0:c1], at.w10[c0:c1], at.w01[c0:c1], at.w11[c0:c1], vals, pm)
+			n += len(vals)
 		}
+		e.statCellsPainted.Add(uint64(n))
 		denom := float64(pm)
 		if cmax != nil && cmax[i] > denom {
 			denom = cmax[i]
@@ -731,20 +728,23 @@ func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, ti
 		if e.cfg.NormalizePerAnchor && denom > 0 {
 			inv = 1 / denom
 		}
-		n := 0
+		n = 0
 		cd := combined.Data
 		for ti, on := range tiles {
 			if !on {
 				continue
 			}
-			for c := at.off[ti]; c < at.off[ti+1]; c++ {
-				v := float64(r.vals[n]) * inv
-				cd[at.xy[c]] += v
-				if xy != nil {
-					xy.Data[at.xy[c]] = v
-				}
-				n++
+			cells := at.xy[at.off[ti]:at.off[ti+1]]
+			vals := r.vals[n : n+len(cells)]
+			for c, p := range cells {
+				cd[p] += float64(vals[c]) * inv
 			}
+			if xy != nil {
+				for c, p := range cells {
+					xy.Data[p] = float64(vals[c]) * inv
+				}
+			}
+			n += len(cells)
 		}
 	}
 	return combined

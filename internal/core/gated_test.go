@@ -237,15 +237,15 @@ func TestGatedStatsPartition(t *testing.T) {
 }
 
 // fullPlaneScratch returns a whole-plane polarFill32 workspace: the
-// T·D output plane, every row spanning all of Δ, and the accumulator and
+// T·D output plane, every row spanning all of Δ, and the row kernel and
 // coefficient scratch.
-func fullPlaneScratch(e *Engine, a *Alpha) (polar []float32, rowLo, rowHi []int32, acc []float32, avp []complex128) {
+func fullPlaneScratch(e *Engine, a *Alpha) (polar []float32, rowLo, rowHi []int32, rs *rowScratch, avp []complex128) {
 	T, D := len(e.thetas), len(e.deltas)
 	rowLo, rowHi = make([]int32, T), make([]int32, T)
 	for t := range rowHi {
 		rowHi[t] = int32(D)
 	}
-	return make([]float32, T*D), rowLo, rowHi, make([]float32, 2*D),
+	return make([]float32, T*D), rowLo, rowHi, &rowScratch{},
 		make([]complex128, a.NumBands()*a.NumAntennas())
 }
 
@@ -273,11 +273,11 @@ func TestPolarFill32Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := e.planesFor(a.Freqs)
-	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	got, rowLo, rowHi, rs, avp := fullPlaneScratch(e, a)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
 		golden := e.referencePolarLikelihood(a, anchor)
 		bfCoeffs(ps, a, anchor, avp)
-		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, acc, avp)
+		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, rs, avp)
 
 		var max float64
 		for _, v := range golden.Data {
@@ -322,11 +322,11 @@ func TestPolarFill32InterpError(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := e.planesFor(a.Freqs)
-	got, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	got, rowLo, rowHi, rs, avp := fullPlaneScratch(e, a)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
 		golden := e.referencePolarLikelihood(a, anchor)
 		bfCoeffs(ps, a, anchor, avp)
-		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, acc, avp)
+		e.polarFill32(ps, a, anchor, got, rowLo, rowHi, rs, avp)
 		var max float64
 		for _, v := range golden.Data {
 			if v > max {
@@ -378,11 +378,10 @@ func TestCoarsePolarFill32Golden(t *testing.T) {
 			}
 		}
 		cpolar := make([]float32, gt.cT*gt.cD)
-		acc := make([]float32, 2*gt.cD)
 		cp := &gt.coarse[anchor]
 		avp := make([]complex128, a.NumBands()*a.NumAntennas())
 		bfCoeffs(ps, a, anchor, avp)
-		e.coarsePolarFill32(ps, cp, a, anchor, gt.cT, gt.cD, cpolar, acc, avp)
+		e.coarsePolarFill32(ps, cp, a, anchor, gt.cT, gt.cD, cpolar, &rowScratch{}, avp)
 		worst := 0.0
 		for ct := 0; ct < gt.cT; ct++ {
 			for cd := int(cp.dLo[ct]); cd < int(cp.dHi[ct]); cd++ {

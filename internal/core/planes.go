@@ -194,13 +194,12 @@ type planeSet struct {
 	// stepP is P above: the number of powers stored per (θ row, band).
 	stepP int
 
-	// Float32 SoA lanes of the base distance steering for the likelihood
-	// kernels (polar32.go): the full-resolution mirror of baseRe/baseIm,
-	// plus the Δ-decimated coarse lanes the gated coarse pass reads
-	// contiguously (cd ← d = cd·CoarseDeltaStep). Half the memory traffic
-	// of the float64 planes.
-	baseRe32, baseIm32   []float32 // [k*D + d]
-	cbaseRe32, cbaseIm32 []float32 // [k*cD + cd]
+	// Float32 lanes of the base distance steering for the row kernel
+	// (polar32.go): the refinement sweep's stride-RefineDeltaStep lanes,
+	// one per phase, and the coarse pass's stride-CoarseDeltaStep,
+	// phase-0 lane. Every Δ run either pass evaluates is contiguous in
+	// one of them, at half the memory traffic of the float64 planes.
+	fine, coarse deltaLanes
 
 	bytes int
 }
@@ -277,27 +276,17 @@ func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 	for k, f := range freqs {
 		ps.w[k] = 2 * math.Pi * f / rfsim.SpeedOfLight
 	}
-	ds := e.cfg.Gate.CoarseDeltaStep
-	cD := (D + ds - 1) / ds
-	ps.baseRe32 = make([]float32, K*D)
-	ps.baseIm32 = make([]float32, K*D)
-	ps.cbaseRe32 = make([]float32, K*cD)
-	ps.cbaseIm32 = make([]float32, K*cD)
 	for k := 0; k < K; k++ {
 		row := k * D
-		crow := k * cD
 		for d, delta := range e.deltas {
 			s, c := math.Sincos(ps.w[k] * delta)
 			ps.baseRe[row+d] = c
 			ps.baseIm[row+d] = s
-			ps.baseRe32[row+d] = float32(c)
-			ps.baseIm32[row+d] = float32(s)
-			if d%ds == 0 {
-				ps.cbaseRe32[crow+d/ds] = float32(c)
-				ps.cbaseIm32[crow+d/ds] = float32(s)
-			}
 		}
 	}
+	S := e.cfg.Gate.RefineDeltaStep
+	ps.fine = newDeltaLanes(ps.baseRe, ps.baseIm, K, D, S, S)
+	ps.coarse = newDeltaLanes(ps.baseRe, ps.baseIm, K, D, e.cfg.Gate.CoarseDeltaStep, 1)
 	for i := range e.anchors {
 		ph := make([]complex128, K)
 		for k := 0; k < K; k++ {
@@ -341,7 +330,7 @@ func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 	}
 	ps.bytes = len(ps.freqs)*8 + len(ps.w)*8 +
 		(len(ps.baseRe)+len(ps.baseIm))*8 +
-		(len(ps.baseRe32)+len(ps.baseIm32)+len(ps.cbaseRe32)+len(ps.cbaseIm32))*4 +
+		(len(ps.fine.re)+len(ps.fine.im)+len(ps.coarse.re)+len(ps.coarse.im))*4 +
 		len(ps.phase)*K*16 + len(ps.steps)*T*K*16 +
 		len(ps.stepPows)*T*K*ps.stepP*16
 	return ps

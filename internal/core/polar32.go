@@ -4,15 +4,23 @@ import (
 	"math"
 )
 
-// The production Eq. 17 polar kernels: float32 SoA evaluations of the
-// joint likelihood for every BLoc fix — the gated search's coarse pass
-// and the refinement sweep that both gated and full-grid fixes run
-// (gated.go). Three departures from the float64 reference kernel
+// The production Eq. 17 polar kernels: float32 evaluations of the joint
+// likelihood for every BLoc fix — the gated search's coarse pass and the
+// refinement sweep that both gated and full-grid fixes run (gated.go).
+// Both passes reduce each θ row to one call of the row kernel
+// (polarRow): a complex multiply-accumulate of every non-zero band's
+// beamforming coefficient against a contiguous run of Δ samples, read
+// from the planeSet's stride-and-phase lanes (deltaLanes). The kernel
+// has a portable Go implementation, which is also the oracle, and an
+// AVX2 one on amd64, chosen once at startup; both issue the same
+// float32 operations in the same order, so every surface is
+// bit-identical on either path (TestKernelPathsBitIdentical,
+// FuzzPolarRow). Three departures from the float64 reference kernel
 // (reference.go), each bounded by a dedicated test:
 //
-//   - The Δ accumulation runs on the planeSet's float32 SoA lanes,
-//     halving the memory traffic of the likelihood's dominant loop
-//     (TestPolarFill32Golden pins the float32 plane to the reference).
+//   - The Δ accumulation runs in float32, halving the memory traffic of
+//     the likelihood's dominant loop (TestPolarFill32Golden pins the
+//     float32 plane to the reference).
 //   - The beamforming sum B(θ, k) reads the precomputed rotor powers
 //     (planeSet.stepPows) instead of walking a serial rotor chain, and
 //     the per-band phase product e^{−ι w_k D_i}·conj(e^{−ι w_k D_r}) is
@@ -30,6 +38,143 @@ import (
 // reference.go remains the float64 oracle: the golden tests bound the
 // combined surface's divergence from it, and TestLocateEstimateParity
 // bounds what that divergence does to the error CDF.
+
+// laneBlock is the SIMD row kernel's block width in float32 lanes (one
+// AVX2 register). deltaLanes and the kernel's accumulators carry
+// laneBlock lanes of padding, so the kernel may read and write one
+// whole block past a row's last sample; it discards those lanes.
+const laneBlock = 8
+
+// deltaLanes holds float32 re/im lanes of the base distance steering
+// e^{ι w_k Δ_d} at Δ stride S: entry [p·K·W + k·W + i] is column
+// p + i·S of band k, for phases p in [0, phases) and W = ⌈D/S⌉ entries
+// per band. Every strided Δ run a kernel row evaluates is then a
+// contiguous run of one phase's lane. Entries past the Δ grid are zero,
+// as are the laneBlock padding lanes at the end.
+type deltaLanes struct {
+	stride, width, bands int
+	re, im               []float32
+}
+
+// newDeltaLanes samples the float64 base steering planes ([k*D + d])
+// into lanes of the given stride, keeping the first `phases` phases.
+func newDeltaLanes(baseRe, baseIm []float64, K, D, stride, phases int) deltaLanes {
+	W := (D + stride - 1) / stride
+	l := deltaLanes{stride: stride, width: W, bands: K}
+	n := phases*K*W + laneBlock
+	l.re, l.im = make([]float32, n), make([]float32, n)
+	for p := 0; p < phases; p++ {
+		for k := 0; k < K; k++ {
+			row := (p*K + k) * W
+			for i := 0; i < W; i++ {
+				if d := p + i*stride; d < D {
+					l.re[row+i] = float32(baseRe[k*D+d])
+					l.im[row+i] = float32(baseIm[k*D+d])
+				}
+			}
+		}
+	}
+	return l
+}
+
+// start returns the lane index of band 0's entry for full-resolution Δ
+// column col; band k's entry is start(col) + k·width.
+func (l *deltaLanes) start(col int) int {
+	return (col%l.stride)*l.bands*l.width + col/l.stride
+}
+
+// polarRow is the row kernel both polar passes run. For every column i
+// in [0, n) it starts from +0 and adds, over the band list in order,
+//
+//	re[i] += bRe·x[o+i] − bIm·y[o+i]
+//	im[i] += bRe·y[o+i] + bIm·x[o+i]
+//
+// with o = off[j] and (bRe, bIm) = (coef[2j], coef[2j+1]), rounding
+// every product, difference and sum to float32 separately. re and im
+// need n+laneBlock entries, and x and y laneBlock entries past the
+// largest o+n (deltaLanes provides both); the dispatch to the AVX2
+// kernel is made once at startup (useSIMD).
+func polarRow(re, im, x, y []float32, off []int32, coef []float32, n int) {
+	if useSIMD {
+		polarRowAVX2(re, im, x, y, off, coef, n)
+		return
+	}
+	polarRowGo(re, im, x, y, off, coef, n)
+}
+
+// polarRowGo is the portable row kernel and the oracle the AVX2 kernel
+// is tested against. The explicit float32 conversions keep the products
+// from being fused into the following add (the spec permits fusion, and
+// arm64 compilers do it), so every architecture rounds as amd64 does.
+func polarRowGo(re, im, x, y []float32, off []int32, coef []float32, n int) {
+	are, aim := re[:n], im[:n]
+	clear(are)
+	clear(aim)
+	for j, o := range off {
+		bRe, bIm := coef[2*j], coef[2*j+1]
+		xs, ys := x[o:int(o)+n], y[o:int(o)+n]
+		for i := range are {
+			xv, yv := xs[i], ys[i]
+			are[i] += float32(bRe*xv) - float32(bIm*yv)
+			aim[i] += float32(bRe*yv) + float32(bIm*xv)
+		}
+	}
+}
+
+// magnitude is |re + ι·im| rounded to float32; the conversions keep the
+// squares unfused, as in polarRowGo.
+func magnitude(re, im float32) float32 {
+	return float32(math.Sqrt(float64(float32(re*re) + float32(im*im))))
+}
+
+// paintCells paints one refinement tile: vals[c] is the bilinear sum
+// of cell c's four polar taps,
+//
+//	polar[i00]·w00 + polar[i10]·w10 + polar[i01]·w01 + polar[i11]·w11
+//
+// added left to right with every product rounded (unfused, as in
+// polarRowGo), and the result is the largest of pm and the painted
+// values (a NaN value never raises it). Every lane must hold len(vals)
+// entries. With useSIMD the whole 8-cell blocks run in the AVX2 paint,
+// whose lanes issue these operations in this order.
+func paintCells(polar []float32, i00, i10, i01, i11 []int32, w00, w10, w01, w11, vals []float32, pm float32) float32 {
+	c0 := 0
+	if useSIMD {
+		c0, pm = paintAVX2(polar, i00, i10, i01, i11, w00, w10, w01, w11, vals, pm)
+	}
+	n := len(vals)
+	i00, i10, i01, i11 = i00[:n], i10[:n], i01[:n], i11[:n]
+	w00, w10, w01, w11 = w00[:n], w10[:n], w01[:n], w11[:n]
+	for c := c0; c < n; c++ {
+		v := float32(polar[i00[c]]*w00[c]) + float32(polar[i10[c]]*w10[c]) +
+			float32(polar[i01[c]]*w01[c]) + float32(polar[i11[c]]*w11[c])
+		vals[c] = v
+		if v > pm {
+			pm = v
+		}
+	}
+	return pm
+}
+
+// rowBands builds one θ row's band list for the row kernel: the lane
+// offset (band k at k·width) and float32 coefficient B(θ, k) of every
+// band whose beamforming sum is non-zero, in band order. prow holds the
+// row's rotor powers; off and coef must hold K and 2K entries. It
+// returns the number of bands listed.
+func rowBands(avp, prow []complex128, K, J, P, width int, off []int32, coef []float32) int {
+	nb := 0
+	for k := 0; k < K; k++ {
+		b := beamSum(avp[k*J:k*J+J], prow[k*P:k*P+P], J)
+		//lint:ignore floateq skip beamforming sums that are exactly zero
+		if b == 0 {
+			continue
+		}
+		off[nb] = int32(k * width)
+		coef[2*nb], coef[2*nb+1] = float32(real(b)), float32(imag(b))
+		nb++
+	}
+	return nb
+}
 
 // bfCoeffs folds the anchor/reference phase rotors into one anchor's
 // corrected-channel coefficients: avp[k*J+j] = α_kj · e^{−ι w_k D_i} ·
@@ -73,55 +218,43 @@ func beamSum(c []complex128, pk []complex128, J int) complex128 {
 // coarsePolarFill32 evaluates one anchor's polar likelihood at the
 // decimated (θ, Δ) samples of the coarse pass: row ct is the full-grid
 // row ct·CoarseThetaStep, column cd the full-grid column
-// cd·CoarseDeltaStep, read from the planeSet's contiguous coarse lanes.
+// cd·CoarseDeltaStep, a contiguous run of the planeSet's coarse lanes.
 // Only the per-row spans of cp are computed; cpolar must be cT·cD long,
-// acc at least 2·cD, and avp holds this anchor's bfCoeffs.
-func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, anchor, cT, cD int, cpolar, acc []float32, avp []complex128) {
+// rs is grown to fit and avp holds this anchor's bfCoeffs. It returns
+// the complex multiply-accumulates issued.
+func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, anchor, cT, cD int, cpolar []float32, rs *rowScratch, avp []complex128) uint64 {
 	K, J := a.NumBands(), a.NumAntennas()
 	ts := e.cfg.Gate.CoarseThetaStep
 	pows := ps.stepPows[e.spacingIdx[anchor]]
 	P := ps.stepP
-	accRe, accIm := acc[:cD], acc[cD:2*cD]
+	l := &ps.coarse
+	rs.grow(K, cD)
+	var macs uint64
 
 	for ct := 0; ct < cT; ct++ {
 		lo, hi := int(cp.dLo[ct]), int(cp.dHi[ct])
 		if lo >= hi {
 			continue // no coarse cell samples this row
 		}
-		are, aim := accRe[lo:hi], accIm[lo:hi]
-		for d := range are {
-			are[d] = 0
-			aim[d] = 0
-		}
 		t := ct * ts
-		prow := pows[t*K*P : (t*K+K)*P]
-		for k := 0; k < K; k++ {
-			b := beamSum(avp[k*J:k*J+J], prow[k*P:k*P+P], J)
-			//lint:ignore floateq skip beamforming sums that are exactly zero
-			if b == 0 {
-				continue
-			}
-			bRe, bIm := float32(real(b)), float32(imag(b))
-			row := k * cD
-			bre, bim := ps.cbaseRe32[row+lo:row+hi], ps.cbaseIm32[row+lo:row+hi]
-			for d := range bre {
-				are[d] += bRe*bre[d] - bIm*bim[d]
-				aim[d] += bRe*bim[d] + bIm*bre[d]
-			}
-		}
+		nb := rowBands(avp, pows[t*K*P:(t*K+K)*P], K, J, P, l.width, rs.off, rs.coef)
+		polarRow(rs.re, rs.im, l.re[lo:], l.im[lo:], rs.off[:nb], rs.coef[:2*nb], hi-lo)
+		macs += uint64(nb * (hi - lo))
 		out := cpolar[ct*cD+lo : ct*cD+hi]
 		for d := range out {
-			out[d] = float32(math.Sqrt(float64(are[d]*are[d] + aim[d]*aim[d])))
+			out[d] = magnitude(rs.re[d], rs.im[d])
 		}
 	}
+	return macs
 }
 
 // polarFill32 computes one anchor's full-resolution polar likelihood
 // into polar (T·D float32), restricted per θ row to the half-open Δ span
 // [rowLo[t], rowHi[t]) — the union of the selected refinement tiles'
 // polar bounding boxes. Rows with an empty span are skipped and their
-// cells left stale; the tiled projection reads only spanned cells. acc
-// must be at least 2·D and avp holds this anchor's bfCoeffs.
+// cells left stale; the tiled projection reads only spanned cells. rs is
+// grown to fit and avp holds this anchor's bfCoeffs. It returns the
+// complex multiply-accumulates issued.
 //
 // Sampling: only every RefineThetaStep-th row (plus the last) is
 // evaluated, over the union of its neighbors' spans so the skipped rows
@@ -129,7 +262,7 @@ func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, ancho
 // sweep evaluates every RefineDeltaStep-th column (plus the final one).
 // Both strides at 1 recover the exact kernel, which is what the golden
 // test pins against the float64 reference kernel.
-func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32, rowLo, rowHi []int32, acc []float32, avp []complex128) {
+func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32, rowLo, rowHi []int32, rs *rowScratch, avp []complex128) uint64 {
 	D, K := len(e.deltas), a.NumBands()
 	J := a.NumAntennas()
 	S := e.cfg.Gate.RefineDeltaStep
@@ -137,7 +270,9 @@ func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32
 	T := len(rowLo)
 	pows := ps.stepPows[e.spacingIdx[anchor]]
 	P := ps.stepP
-	accRe, accIm := acc[:D], acc[D:2*D]
+	l := &ps.fine
+	rs.grow(K, l.width)
+	var macs uint64
 
 	for t := 0; t < T; t++ {
 		if t%RT != 0 && t != T-1 {
@@ -160,50 +295,29 @@ func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32
 		if lo >= hi {
 			continue
 		}
-		// Exact samples at lo, lo+S, …, lo+(m-1)·S, stored compactly in
-		// acc[0:m]; one extra sample at hi-1 when the stride misses it.
+		// Exact samples at lo, lo+S, …, lo+(m-1)·S — one contiguous run
+		// of phase lo mod S — land in rs.re/im[0:m]; one extra sample at
+		// hi-1, in lane (hi-1) mod S, when the stride misses it.
 		m := (hi-1-lo)/S + 1
 		last := lo + (m-1)*S
-		tailRe, tailIm := float32(0), float32(0)
-		needTail := last < hi-1
-		are, aim := accRe[:m], accIm[:m]
-		for i := range are {
-			are[i] = 0
-			aim[i] = 0
-		}
-		prow := pows[t*K*P : (t*K+K)*P]
-		for k := 0; k < K; k++ {
-			b := beamSum(avp[k*J:k*J+J], prow[k*P:k*P+P], J)
-			//lint:ignore floateq skip beamforming sums that are exactly zero
-			if b == 0 {
-				continue
-			}
-			bRe, bIm := float32(real(b)), float32(imag(b))
-			row := k * D
-			bre, bim := ps.baseRe32[row:row+D], ps.baseIm32[row:row+D]
-			idx := lo
-			for i := 0; i < m; i++ {
-				br, bi := bre[idx], bim[idx]
-				are[i] += bRe*br - bIm*bi
-				aim[i] += bRe*bi + bIm*br
-				idx += S
-			}
-			if needTail {
-				br, bi := bre[hi-1], bim[hi-1]
-				tailRe += bRe*br - bIm*bi
-				tailIm += bRe*bi + bIm*br
-			}
-		}
+		nb := rowBands(avp, pows[t*K*P:(t*K+K)*P], K, J, P, l.width, rs.off, rs.coef)
+		off, coef := rs.off[:nb], rs.coef[:2*nb]
+		s := l.start(lo)
+		polarRow(rs.re, rs.im, l.re[s:], l.im[s:], off, coef, m)
+		macs += uint64(nb * m)
 		// Magnitudes land at their true columns; the gaps are filled
 		// in place (interpolation writes strictly between samples).
 		out := polar[t*D : t*D+D]
 		idx := lo
 		for i := 0; i < m; i++ {
-			out[idx] = float32(math.Sqrt(float64(are[i]*are[i] + aim[i]*aim[i])))
+			out[idx] = magnitude(rs.re[i], rs.im[i])
 			idx += S
 		}
-		if needTail {
-			out[hi-1] = float32(math.Sqrt(float64(tailRe*tailRe + tailIm*tailIm)))
+		if last < hi-1 {
+			s := l.start(hi - 1)
+			polarRow(rs.tailRe[:], rs.tailIm[:], l.re[s:], l.im[s:], off, coef, 1)
+			macs += uint64(nb)
+			out[hi-1] = magnitude(rs.tailRe[0], rs.tailIm[0])
 		}
 		if S > 1 {
 			p0 := lo
@@ -222,7 +336,7 @@ func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32
 		}
 	}
 	if RT == 1 {
-		return
+		return macs
 	}
 	// Interpolate the skipped rows from their sampled neighbors, each of
 	// which was painted over a superset of this row's span.
@@ -247,4 +361,5 @@ func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32
 			out[d] = r0[d]*(1-f) + r1[d]*f
 		}
 	}
+	return macs
 }

@@ -47,21 +47,42 @@ func (e *Engine) putPeaks(v *[]dsp.Peak) { e.peakPool.Put(v) }
 // gatedRun is the reusable likelihood workspace of one fix (gated.go):
 // the coarse polar/combined planes and per-anchor coarse maxima of a
 // gated attempt, and the refinement polar plane with its per-row spans,
-// the tile masks and the painted-value staging buffer every fix uses.
-// The struct owns all of its slices; recycling the struct recycles
-// every buffer at once.
+// the tile masks, the painted-value staging buffer and the row kernel's
+// scratch every fix uses. The struct owns all of its slices; recycling
+// the struct recycles every buffer at once.
 type gatedRun struct {
 	active       []int
 	cpolar       []float32    // decimated polar plane (cT·cD)
 	ccomb        []float32    // coarse combined XY plane (cnx·cny)
 	cvals        []float32    // one anchor's projected coarse values
 	cmax         []float64    // per-anchor coarse map maximum
-	acc          []float32    // re/im accumulator planes (2·D)
 	polar        []float32    // full-resolution polar plane (T·D)
 	rowLo, rowHi []int32      // per-θ-row Δ spans of the selected tiles
 	sel, tiles   []bool       // value-selected tiles; the refined tile mask
 	vals         []float32    // painted tile values awaiting normalization
 	avp          []complex128 // folded beamforming coefficients (bfCoeffs)
+	row          rowScratch   // row kernel operands (polar32.go)
+}
+
+// rowScratch holds the row kernel's per-row operands (polar32.go): one
+// θ row's band list — lane offsets and float32 coefficients — and the
+// padded re/im accumulators, plus a one-block pair for the refinement
+// sweep's tail sample.
+type rowScratch struct {
+	off            []int32
+	coef           []float32
+	re, im         []float32
+	tailRe, tailIm [laneBlock]float32
+}
+
+// grow sizes the scratch for rows of up to `bands` bands and `cols`
+// columns, with the laneBlock accumulator padding the SIMD kernel
+// writes.
+func (s *rowScratch) grow(bands, cols int) {
+	s.off = growI32(s.off, bands)
+	s.coef = growF32(s.coef, 2*bands)
+	s.re = growF32(s.re, cols+laneBlock)
+	s.im = growF32(s.im, cols+laneBlock)
 }
 
 func (e *Engine) getGatedRun() *gatedRun {

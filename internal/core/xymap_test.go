@@ -57,10 +57,10 @@ func TestPolarLikelihoodNonNegativeAndPeaked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The production kernel at the default strides, over the whole plane.
-	polar, rowLo, rowHi, acc, avp := fullPlaneScratch(e, a)
+	polar, rowLo, rowHi, rs, avp := fullPlaneScratch(e, a)
 	ps := e.planesFor(a.Freqs)
 	bfCoeffs(ps, a, 1, avp)
-	e.polarFill32(ps, a, 1, polar, rowLo, rowHi, acc, avp)
+	e.polarFill32(ps, a, 1, polar, rowLo, rowHi, rs, avp)
 	D := len(e.deltas)
 	best := 0
 	for i, v := range polar {

@@ -113,6 +113,7 @@ type Fleet struct {
 	closing  bool // guarded by mu
 	fbFixes  int  // fallback fixes delivered for down cells; guarded by mu
 	fbPanics int  // panics recovered on the fallback path; guarded by mu
+	fbLost   int  // completed fallback rounds no running cell could serve; guarded by mu
 }
 
 // NewFleet starts every cell and its supervisor.
@@ -382,7 +383,13 @@ func (f *Fleet) deliverFallback(home int, tag uint16, round uint32, snap *csi.Sn
 	}()
 	nb := f.nextRunning(home)
 	if nb < 0 {
-		return // whole fleet down; nothing can serve this round
+		// The whole fleet is down — in a one-cell fleet, whenever its
+		// cell restarts — so nothing can serve this round.
+		f.mu.Lock()
+		f.fbLost++
+		f.mu.Unlock()
+		f.log.Warn("fallback round lost: no running cell", "home", home, "tag", tag, "round", round)
+		return
 	}
 	// The fallback plane serves at the fleet's best degraded rung: with a
 	// fingerprint-capable estimator the neighbor answers a KNN lookup,
@@ -469,6 +476,10 @@ type FleetStats struct {
 	// or by the collector's wholesale cap eviction. Rounds these buckets
 	// held produced no fix at all.
 	FallbackDropped int
+	// FallbackLost counts complete fallback rounds that produced no fix
+	// because no cell was running to serve them: in a one-cell fleet,
+	// every round that completes while its cell restarts.
+	FallbackLost int
 	// RoutedTags is how many tags currently have a recorded home cell.
 	RoutedTags int
 }
@@ -502,6 +513,7 @@ func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
 	fs.FallbackFixes = f.fbFixes
 	fs.FallbackPanics = f.fbPanics
+	fs.FallbackLost = f.fbLost
 	f.mu.Unlock()
 	fs.FallbackDropped = f.fb.droppedCount()
 	fs.RoutedTags = f.rt.tagCount()

@@ -291,6 +291,79 @@ func TestFleetFallbackPanicContained(t *testing.T) {
 	}
 }
 
+// TestFleetFallbackLostWhileSoleCellRestarts pins the count of rounds a
+// one-cell fleet — every default bloc-server — loses while its only
+// cell restarts: the fallback collector completes them, but no running
+// neighbor exists to serve them, so each is counted in FallbackLost and
+// none produces a fix.
+func TestFleetFallbackLostWhileSoleCellRestarts(t *testing.T) {
+	rec := newFleetRecorder()
+	f, err := NewFleet(FleetConfig{
+		Cells: 1,
+		Cell: Config{
+			Anchors: 3, Antennas: 1, Bands: ble.DataChannels()[:2],
+			RoundDeadline: 50 * time.Millisecond,
+			FixQueueDepth: 256,
+		},
+		OnSnapshot: func(cell int, info RoundInfo, snap *csi.Snapshot) (geom.Point, error) {
+			if info.Round == 1 {
+				panic("estimator died on round 1")
+			}
+			return geom.Pt(float64(cell), float64(info.Tag)), nil
+		},
+		OnFix:      rec.record,
+		Supervisor: SupervisorConfig{BackoffInitial: 400 * time.Millisecond},
+		Logger:     quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	ingestRound := func(round uint32) {
+		for a := uint8(0); a < 3; a++ {
+			for b := uint16(0); b < 2; b++ {
+				f.IngestRow(fleetRow(7, round, a, b))
+			}
+		}
+	}
+	ingestRound(1)
+	chaosAwait(t, 5*time.Second, "cell down after the round-1 panic", func() bool {
+		return !f.Stats().Cells[0].Running
+	})
+	// Four complete rounds while the sole cell sits out its backoff.
+	for round := uint32(2); round <= 5; round++ {
+		ingestRound(round)
+	}
+	fs := f.Stats()
+	if fs.Cells[0].Running {
+		t.Fatal("cell came back before the four rounds were ingested; the backoff no longer covers the test")
+	}
+	if fs.FallbackLost != 4 {
+		t.Errorf("FallbackLost = %d, want 4", fs.FallbackLost)
+	}
+	if fs.FallbackFixes != 0 || fs.FallbackPanics != 0 {
+		t.Errorf("FallbackFixes = %d, FallbackPanics = %d with no neighbor; want 0, 0",
+			fs.FallbackFixes, fs.FallbackPanics)
+	}
+	if got := rec.snapshot(); len(got) != 0 {
+		t.Errorf("fixes delivered while the only cell was down: %v", got)
+	}
+
+	// The restarted cell serves again; nothing it serves is counted lost.
+	chaosAwait(t, 5*time.Second, "cell restart", func() bool {
+		return f.Stats().Cells[0].Running
+	})
+	ingestRound(6)
+	chaosAwait(t, 5*time.Second, "round-6 fix", func() bool {
+		return rec.count(fixKeyT{cell: 0, tag: 7, round: 6}) == 1
+	})
+	if fs := f.Stats(); fs.FallbackLost != 4 || fs.Cells[0].Restarts != 1 {
+		t.Errorf("after the restart: FallbackLost = %d, restarts = %d; want 4, 1",
+			fs.FallbackLost, fs.Cells[0].Restarts)
+	}
+}
+
 // TestRetireStatsZeroesGauges pins the restart fold: a dead
 // incarnation contributes its counters and high-water marks to
 // cell.base, but never its point-in-time gauges — otherwise Fleet.Stats
