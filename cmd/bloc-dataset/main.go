@@ -106,7 +106,9 @@ func replay(args []string) {
 		log.Fatal(err)
 	}
 	est := map[string]func(*csi.Snapshot) (*core.Result, error){
-		"bloc":              eng.Locate,
+		"bloc": func(s *csi.Snapshot) (*core.Result, error) {
+			return eng.LocateOpts(s, core.LocateOptions{})
+		},
 		"aoa":               eng.LocateAoA,
 		"shortest-distance": eng.LocateShortestDistance,
 		"rssi":              eng.LocateRSSI,

@@ -11,9 +11,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -26,52 +29,88 @@ import (
 // ramp maps normalized likelihood to glyphs, light to dark.
 const ramp = " .:-=+*#%@"
 
-func main() {
-	var (
-		tagPos = flag.String("tag", "0.6,-0.9", "true tag position x,y")
-		seed   = flag.Uint64("seed", 7, "simulation seed")
-		view   = flag.String("view", "combined", "combined, angle or distance")
-		anchor = flag.Int("anchor", 1, "anchor for angle/distance views")
-		width  = flag.Int("width", 72, "map width in characters")
-	)
-	flag.Parse()
+// errUsage marks a bad command line. run has already printed the reason
+// and the flag summary to stderr; main exits with status 2.
+var errUsage = errors.New("usage error")
 
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatal(err)
+	}
+}
+
+// run parses args and renders the requested view to stdout; flag errors
+// and the flag summary go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bloc-map", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		tagPos = fs.String("tag", "0.6,-0.9", "true tag position x,y")
+		seed   = fs.Uint64("seed", 7, "simulation seed")
+		view   = fs.String("view", "combined", "combined, angle or distance")
+		anchor = fs.Int("anchor", 1, "anchor for angle/distance views")
+		width  = fs.Int("width", 72, "map width in characters")
+	)
+	usage := func(format string, a ...any) error {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		fs.Usage()
+		return errUsage
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *view != "combined" && *view != "angle" && *view != "distance" {
+		return usage("invalid value %q for flag -view: want combined, angle or distance", *view)
+	}
 	tag, err := parsePoint(*tagPos)
 	if err != nil {
-		log.Fatal(err)
+		return usage("invalid value %q for flag -tag: %v", *tagPos, err)
 	}
 	dep, err := testbed.Paper(*seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if *view != "combined" && (*anchor < 0 || *anchor >= len(dep.Anchors)) {
+		return usage("invalid value %d for flag -anchor: the deployment has anchors 0..%d", *anchor, len(dep.Anchors)-1)
 	}
 	eng, err := core.NewEngine(dep.Anchors, core.DefaultConfig(dep.Env.Room))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	snap := dep.Sounding(tag)
 	a, err := core.Correct(snap)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var grid *dsp.Grid
 	estimate := geom.Point{}
 	switch *view {
 	case "combined":
-		res, err := eng.LocateAlpha(a)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		grid = res.Likelihood
+		if grid, _, err = eng.Likelihood(a); err != nil {
+			return err
+		}
 		estimate = res.Estimate
 		defer func() {
-			fmt.Println("\ncandidates (Eq. 18):")
+			fmt.Fprintln(stdout, "\ncandidates (Eq. 18):")
 			for i, c := range res.Candidates {
 				marker := " "
 				if c.Loc == res.Estimate {
 					marker = "*"
 				}
-				fmt.Printf(" %s #%d %v  p=%.2f H=%.2f Σd=%.1f score=%.4f\n",
+				fmt.Fprintf(stdout, " %s #%d %v  p=%.2f H=%.2f Σd=%.1f score=%.4f\n",
 					marker, i, c.Loc, c.PeakValue, c.Entropy, c.SumDist, c.Score)
 			}
 		}()
@@ -79,19 +118,18 @@ func main() {
 		grid = eng.AngleLikelihoodXY(a, *anchor)
 	case "distance":
 		grid = eng.DistanceLikelihoodXY(a, *anchor)
-	default:
-		log.Fatalf("unknown view %q", *view)
 	}
 
-	render(eng, dep, grid, tag, estimate, *width)
+	render(stdout, eng, dep, grid, tag, estimate, *width)
 	if estimate != (geom.Point{}) {
-		fmt.Printf("\ntruth %v   estimate %v   error %.2f m\n", tag, estimate, estimate.Dist(tag))
+		fmt.Fprintf(stdout, "\ntruth %v   estimate %v   error %.2f m\n", tag, estimate, estimate.Dist(tag))
 	}
+	return nil
 }
 
 // render downsamples the likelihood grid to the terminal and overlays the
 // anchors (A), the truth (T) and the estimate (E).
-func render(eng *core.Engine, dep *testbed.Deployment, grid *dsp.Grid, truth, estimate geom.Point, width int) {
+func render(w io.Writer, eng *core.Engine, dep *testbed.Deployment, grid *dsp.Grid, truth, estimate geom.Point, width int) {
 	if width < 20 {
 		width = 20
 	}
@@ -133,12 +171,12 @@ func render(eng *core.Engine, dep *testbed.Deployment, grid *dsp.Grid, truth, es
 		overlay(estimate, 'E')
 	}
 	border := "+" + strings.Repeat("-", width) + "+"
-	fmt.Println(border)
+	fmt.Fprintln(w, border)
 	for _, row := range rows {
-		fmt.Printf("|%s|\n", row)
+		fmt.Fprintf(w, "|%s|\n", row)
 	}
-	fmt.Println(border)
-	fmt.Println("A = anchor   T = truth   E = estimate   dark = high likelihood")
+	fmt.Fprintln(w, border)
+	fmt.Fprintln(w, "A = anchor   T = truth   E = estimate   dark = high likelihood")
 }
 
 // cellOf mirrors the engine's coordinate mapping for overlay markers.

@@ -39,7 +39,7 @@ func main() {
 		Antennas: dep.Anchors[0].N,
 		Bands:    dep.Bands,
 		OnSnapshot: func(info locserver.RoundInfo, snap *csi.Snapshot) (geom.Point, error) {
-			res, err := eng.LocateRef(snap, info.Ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}

@@ -106,7 +106,7 @@ func boot(store *durable.Store, h *calHolder) (*locserver.Server, []*anchor.Daem
 					snap = corrected
 				}
 			}
-			res, err := eng.LocateRef(snap, info.Ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}

@@ -52,13 +52,17 @@ func BenchmarkPolarLikelihoodReference(b *testing.B) {
 }
 
 // BenchmarkLikelihood is the full-grid combined surface: the refinement
-// routine with every tile selected.
+// routine with every tile selected, in one workspace.
 func BenchmarkLikelihood(b *testing.B) {
 	e, a := benchFixture(b)
+	r := e.getRun()
+	defer e.putRun(r)
+	ps, gt := e.planesFor(a.Freqs), e.gatedFor(a.Ref)
+	r.selectAll(gt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.fullLikelihood(a, nil)
+		e.refine(r, ps, gt, a, nil, nil)
 	}
 }
 
@@ -76,7 +80,7 @@ func BenchmarkGatedFix(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := d.Sounding(geom.Pt(1.2, 0.8))
-	full, err := e.Locate(snap)
+	full, err := e.LocateOpts(snap, LocateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,11 +115,50 @@ func BenchmarkFullGridFix(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := d.Sounding(geom.Pt(1.2, 0.8))
+	// Warm-up: the first fix builds the steering planes and projection
+	// tables, which would otherwise dominate the bytes per op.
+	if _, err := e.LocateOpts(snap, LocateOptions{}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Locate(snap); err != nil {
+		if _, err := e.LocateOpts(snap, LocateOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestFixAllocs pins the steady-state fix path's allocations: once the
+// engine and its workspace pool are warm, a full-grid fix and a gated
+// fix that stays gated allocate only what they return — the Result and
+// its candidates.
+func TestFixAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	d, err := testbed.Paper(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := paperEngine(t, d)
+	snap := d.Sounding(geom.Pt(1.2, 0.8))
+	full, err := e.LocateOpts(snap, LocateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []LocateOptions{{}, {Prior: tightPrior(full.Estimate)}} {
+		var res *Result
+		allocs := testing.AllocsPerRun(100, func() {
+			if res, err = e.LocateOpts(snap, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if gated := opts.Prior != nil; res.Gated != gated {
+			t.Fatalf("prior %v: fix gated=%v fallback=%q", gated, res.Gated, res.Fallback)
+		}
+		if allocs > 2 {
+			t.Errorf("prior %v: %v allocations per fix, want at most 2 (Result, Candidates)", opts.Prior != nil, allocs)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestCalibrationRestoresAccuracy(t *testing.T) {
 	var rawSum, calSum float64
 	for _, tag := range tags {
 		snap := d.Sounding(tag)
-		raw, err := e.Locate(snap)
+		raw, err := e.LocateOpts(snap, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestCalibrationRestoresAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrected, err := e.Locate(fixed)
+		corrected, err := e.LocateOpts(fixed, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestLocateWithSilencedAnchor(t *testing.T) {
 	tag := geom.Pt(0.8, -0.5)
 	snap := dep.Sounding(tag)
 
-	full, err := eng.Locate(snap)
+	full, err := eng.LocateOpts(snap, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLocateWithSilencedAnchor(t *testing.T) {
 	for k := range masked.Bands {
 		masked.MaskMissing(k, 3)
 	}
-	res, err := eng.Locate(masked)
+	res, err := eng.LocateOpts(masked, LocateOptions{})
 	if err != nil {
 		t.Fatalf("degraded locate failed: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestLocateWithMissingBands(t *testing.T) {
 			masked.MaskMissing(k, k/5%masked.NumAnchors())
 		}
 	}
-	res, err := eng.Locate(masked)
+	res, err := eng.LocateOpts(masked, LocateOptions{})
 	if err != nil {
 		t.Fatalf("locate with missing bands failed: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestLocateRejectsBelowTwoAnchors(t *testing.T) {
 			masked.MaskMissing(k, i)
 		}
 	}
-	if _, err := eng.Locate(masked); err == nil {
+	if _, err := eng.LocateOpts(masked, LocateOptions{}); err == nil {
 		t.Fatal("locate with a single surviving anchor should fail")
 	} else if !strings.Contains(err.Error(), "anchors usable") {
 		t.Errorf("unexpected error: %v", err)
@@ -96,7 +96,7 @@ func TestLocateRejectsMissingMaster(t *testing.T) {
 	for k := range masked.Bands {
 		masked.MaskMissing(k, 0)
 	}
-	if _, err := eng.Locate(masked); err == nil {
+	if _, err := eng.LocateOpts(masked, LocateOptions{}); err == nil {
 		t.Fatal("locate without any master row should fail")
 	}
 }

@@ -176,10 +176,9 @@ func DefaultConfig(room geom.Rect) Config {
 
 // Engine localizes tags from corrected channels for a fixed anchor
 // deployment. It precomputes the geometry-dependent tables once (see
-// planes.go) and can then process many snapshots concurrently; the
-// steady-state fix path draws its scratch planes from internal pools
-// and allocates only what it returns — the combined likelihood grid,
-// the candidates and the Result (pool.go).
+// planes.go) and can then process many snapshots concurrently; every
+// fix draws one pooled workspace (pool.go) and, in steady state,
+// allocates only what it returns — the Result and its candidates.
 type Engine struct {
 	cfg     Config
 	anchors []geom.Array
@@ -224,11 +223,8 @@ type Engine struct {
 	gatedMu   sync.RWMutex
 	gatedSets map[int]*gatedTables // guarded by gatedMu
 
-	// Scratch pools (pool.go) and Stats counters.
-	floatPool sync.Pool // *[]float64 accumulator planes / entropy windows
-	gatedPool sync.Pool // *gatedRun per-fix likelihood workspaces
-	alphaPool sync.Pool // *alphaBox corrected-channel workspaces
-	peakPool  sync.Pool // *[]dsp.Peak peak-extraction scratch
+	// The per-fix workspace pool (pool.go) and Stats counters.
+	runPool sync.Pool // *fixRun
 
 	statFixes       atomic.Uint64
 	statPlaneBuilds atomic.Uint64
@@ -251,10 +247,9 @@ type Engine struct {
 
 // Stats is a snapshot of the engine's performance counters.
 type Stats struct {
-	// Fixes counts successful BLoc fixes: every Locate, LocateRef,
-	// LocateAlpha, LocateOpts and LocateShortestDistance call that
-	// returned a Result, gated or full-grid. The baselines (AoA, MUSIC,
-	// RSSI, CTE) are not counted.
+	// Fixes counts successful BLoc fixes: every LocateOpts and
+	// LocateShortestDistance call that returned a Result, gated or
+	// full-grid. The baselines (AoA, MUSIC, RSSI, CTE) are not counted.
 	Fixes uint64
 	// PlaneBuilds counts steering-plane constructions: one per band plan
 	// the engine has served (a stable deployment sits at 1).
@@ -262,8 +257,9 @@ type Stats struct {
 	// TableBytes is the resident footprint of all precomputed tables
 	// (projection tables plus every cached steering plane).
 	TableBytes uint64
-	// PoolHits/PoolMisses count scratch acquisitions served from (resp.
-	// missing) the engine's pools; steady state is all hits.
+	// PoolHits/PoolMisses count workspace acquisitions served from
+	// (resp. missing) the engine's pool: one per fix and per Likelihood
+	// call; steady state is all hits.
 	PoolHits, PoolMisses uint64
 	// ProjBuilds counts Fig. 6 line-projection table constructions: one
 	// per reference anchor that AngleLikelihoodXY, DistanceLikelihoodXY or

@@ -75,7 +75,7 @@ func TestLocateFreeSpaceExact(t *testing.T) {
 		geom.Pt(0, 0),
 		geom.Pt(1.9, 2.2),
 	} {
-		res, err := e.Locate(d.Sounding(tag))
+		res, err := e.LocateOpts(d.Sounding(tag), LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func TestLocateRobustToLOOffsets(t *testing.T) {
 	}
 	e := paperEngine(t, d)
 	tag := geom.Pt(-0.8, 0.9)
-	r1, err := e.Locate(d.Sounding(tag))
+	r1, err := e.LocateOpts(d.Sounding(tag), LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Locate(d.Sounding(tag))
+	r2, err := e.LocateOpts(d.Sounding(tag), LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,10 @@ func TestLikelihoodXYMaxNearTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, per := e.Likelihood(a)
+	grid, per, err := e.Likelihood(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(per) != 4 {
 		t.Fatalf("per-anchor maps = %d", len(per))
 	}
@@ -270,7 +273,7 @@ func TestLocateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := paperEngine(t, d)
-	if _, err := e.Locate(&csi.Snapshot{}); err == nil {
+	if _, err := e.LocateOpts(&csi.Snapshot{}, LocateOptions{}); err == nil {
 		t.Error("empty snapshot should fail")
 	}
 	// Wrong anchor count.
@@ -278,7 +281,7 @@ func TestLocateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Locate(d2.Sounding(geom.Pt(0, 0))); err == nil {
+	if _, err := e.LocateOpts(d2.Sounding(geom.Pt(0, 0)), LocateOptions{}); err == nil {
 		t.Error("anchor count mismatch should fail")
 	}
 }
@@ -292,7 +295,7 @@ func TestLocateWithNoise(t *testing.T) {
 	}
 	e := paperEngine(t, d)
 	tag := geom.Pt(-1.1, -0.7)
-	res, err := e.Locate(d.Sounding(tag))
+	res, err := e.LocateOpts(d.Sounding(tag), LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +366,7 @@ func BenchmarkLocatePaperRoom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Locate(snap); err != nil {
+		if _, err := e.LocateOpts(snap, LocateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +400,7 @@ func TestLocateFromWaveformAcquisition(t *testing.T) {
 	d.SampleNoiseSigma = 1e-5
 	e := paperEngine(t, d)
 	for _, tag := range []geom.Point{geom.Pt(0.7, -0.8), geom.Pt(-1.1, 1.4)} {
-		cd, err := e.Locate(d.Fork(1).Sounding(tag))
+		cd, err := e.LocateOpts(d.Fork(1).Sounding(tag), LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +408,7 @@ func TestLocateFromWaveformAcquisition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wf, err := e.Locate(wfSnap)
+		wf, err := e.LocateOpts(wfSnap, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,11 +14,10 @@ import (
 type Result struct {
 	Estimate   geom.Point  // the reported tag position
 	Candidates []Candidate // every scored likelihood peak
-	Likelihood *dsp.Grid   // the combined XY likelihood (shared, do not mutate)
 
 	// Gated reports whether the fix was served by the prior-gated
-	// coarse-to-fine path (LocateOpts with a Prior); its Likelihood is
-	// then zero outside the refined tiles.
+	// coarse-to-fine path (LocateOpts with a Prior), which scored only
+	// the peaks inside the refined tiles.
 	Gated bool
 	// Fallback names the gate-refusal reason (FallbackDisagree,
 	// FallbackLowConf, FallbackNoPeaks) when a gated attempt fell back
@@ -30,76 +29,99 @@ type Result struct {
 	TilesRefined, TilesTotal int
 }
 
-// Locate runs the full BLoc pipeline on a snapshot against the paper's
-// hard-wired reference anchor 0. See LocateRef.
-func (e *Engine) Locate(s *csi.Snapshot) (*Result, error) {
-	return e.LocateRef(s, 0)
+// LocateOptions parameterizes LocateOpts.
+type LocateOptions struct {
+	// Ref is the reference anchor the channels are corrected against
+	// (CorrectRef); 0 is the paper's hard-wired master.
+	Ref int
+	// Prior, when non-nil, enables the gated coarse-to-fine search
+	// bounded by the tracker's confidence ellipse. Nil runs the plain
+	// full-grid path.
+	Prior *Prior
 }
 
-// LocateRef runs the full BLoc pipeline on a snapshot against an elected
-// reference anchor: offset correction (CorrectRef), joint likelihood,
-// peak scoring with Eq. 18. The corrected-channel workspace is drawn
-// from the engine's pools, so steady-state calls do not pay Correct's
-// nested allocations.
-func (e *Engine) LocateRef(s *csi.Snapshot, ref int) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
-	}
-	if ref < 0 || ref >= s.NumAnchors() {
-		return nil, fmt.Errorf("core: reference anchor %d out of range [0,%d)", ref, s.NumAnchors())
-	}
-	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
-	a := e.correctInto(s, ref, box)
-	res, err := e.locateAlpha(a, bestByScore)
-	e.putAlpha(box)
-	return res, err
-}
-
-// LocateAlpha runs the BLoc pipeline on already-corrected channels.
-func (e *Engine) LocateAlpha(a *Alpha) (*Result, error) {
-	return e.locateAlpha(a, bestByScore)
-}
-
-// locateAlpha is the shared likelihood + peak-selection tail of the BLoc
-// estimators; selector picks the winning candidate (Eq. 18 score or the
-// §8.7 shortest-distance ablation).
-func (e *Engine) locateAlpha(a *Alpha, selector func([]Candidate) (Candidate, bool)) (*Result, error) {
-	if err := e.checkAlpha(a); err != nil {
-		return nil, err
-	}
-	grid := e.fullLikelihood(a, nil)
-	cands := e.candidates(grid)
-	best, ok := selector(cands)
-	if !ok {
-		return nil, fmt.Errorf("core: no likelihood peaks found")
-	}
-	e.statFixes.Add(1)
-	e.statFullFixes.Add(1)
-	return &Result{Estimate: best.Loc, Candidates: cands, Likelihood: grid}, nil
+// LocateOpts runs the full BLoc pipeline on a snapshot: offset
+// correction against the reference anchor (CorrectRef), joint
+// likelihood, peak scoring with Eq. 18. With a prior it attempts the
+// gated coarse-to-fine search and transparently falls back to the full
+// grid when the gate refuses (Result.Fallback names the trigger). The
+// likelihood surface stays internal; Likelihood computes it for callers
+// that want the map.
+func (e *Engine) LocateOpts(s *csi.Snapshot, opts LocateOptions) (*Result, error) {
+	r := e.getRun()
+	defer e.putRun(r)
+	return e.locate(r, s, opts, bestByScore)
 }
 
 // LocateShortestDistance is the §8.7 ablation: the same likelihood, but
 // the direct path is chosen as the peak with the smallest total distance,
 // without the entropy/score machinery.
 func (e *Engine) LocateShortestDistance(s *csi.Snapshot) (*Result, error) {
+	r := e.getRun()
+	defer e.putRun(r)
+	return e.locate(r, s, LocateOptions{}, bestByShortestDistance)
+}
+
+// locate is the one BLoc fix routine, run in the workspace r: offset
+// correction, then — given a prior — the gated attempt (gate, refine
+// over the selected tiles, pick), and on a refusal or without a prior
+// the same refine and pick over every tile. sel picks the winning
+// candidate (Eq. 18 score or the §8.7 shortest-distance ablation). The
+// surface the fix localized on stays in r.grid until r is recycled.
+func (e *Engine) locate(r *fixRun, s *csi.Snapshot, opts LocateOptions, sel func([]Candidate) (Candidate, bool)) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
 	}
-	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
-	a := e.correctInto(s, 0, box)
-	res, err := e.locateAlpha(a, bestByShortestDistance)
-	e.putAlpha(box)
-	return res, err
+	if opts.Ref < 0 || opts.Ref >= s.NumAnchors() {
+		return nil, fmt.Errorf("core: reference anchor %d out of range [0,%d)", opts.Ref, s.NumAnchors())
+	}
+	a := e.correctInto(s, opts.Ref, &r.alpha)
+	if err := e.checkAlpha(a); err != nil {
+		return nil, err
+	}
+	ps, gt := e.planesFor(a.Freqs), e.gatedFor(a.Ref)
+	var fallback string
+	if opts.Prior != nil {
+		var refined int
+		if fallback, refined = e.gate(r, ps, gt, a, opts.Prior); fallback == "" {
+			e.refine(r, ps, gt, a, r.cmax, nil)
+			if res, ok := e.pick(r, gt, sel); ok {
+				nt := gt.tnx * gt.tny
+				e.statFixes.Add(1)
+				e.statGatedFixes.Add(1)
+				e.statTilesRefined.Add(uint64(refined))
+				e.statTilesTotal.Add(uint64(nt))
+				res.Gated, res.TilesRefined, res.TilesTotal = true, refined, nt
+				return res, nil
+			}
+			fallback = FallbackNoPeaks
+		}
+		switch fallback {
+		case FallbackDisagree:
+			e.statFallbackDisagree.Add(1)
+		case FallbackLowConf:
+			e.statFallbackLowConf.Add(1)
+		default:
+			e.statFallbackNoPeaks.Add(1)
+		}
+	}
+	r.selectAll(gt)
+	e.refine(r, ps, gt, a, nil, nil)
+	res, ok := e.pick(r, gt, sel)
+	if !ok {
+		return nil, fmt.Errorf("core: no likelihood peaks found")
+	}
+	e.statFixes.Add(1)
+	e.statFullFixes.Add(1)
+	res.Fallback = fallback
+	return res, nil
 }
 
 // residualSearch is the shared grid-search triangulation of the baseline
-// estimators (AoA, RSSI, CTE): it scans every XY cell, sums res(p, i)
-// over the given anchors, stores the negated residual as a likelihood
-// surface (so Result keeps the same shape across estimators) and returns
-// the residual-minimizing cell's room coordinates. Ties keep the first
-// cell in scan order.
-func (e *Engine) residualSearch(anchors []int, res func(p geom.Point, anchor int) float64) (*dsp.Grid, geom.Point) {
-	grid := dsp.NewGrid(e.nx, e.ny)
+// estimators (AoA, MUSIC, RSSI, CTE): it scans every XY cell, sums
+// res(p, i) over the given anchors and returns the residual-minimizing
+// cell's room coordinates. Ties keep the first cell in scan order.
+func (e *Engine) residualSearch(anchors []int, res func(p geom.Point, anchor int) float64) geom.Point {
 	best := math.Inf(1)
 	bx, by := 0, 0
 	for iy := 0; iy < e.ny; iy++ {
@@ -109,13 +131,12 @@ func (e *Engine) residualSearch(anchors []int, res func(p geom.Point, anchor int
 			for _, i := range anchors {
 				sum += res(p, i)
 			}
-			grid.Set(ix, iy, -sum)
 			if sum < best {
 				best, bx, by = sum, ix, iy
 			}
 		}
 	}
-	return grid, e.CellCenter(bx, by)
+	return e.CellCenter(bx, by)
 }
 
 // LocateAoA is the paper's baseline (§7, §8.2): AoA-combining in the
@@ -145,11 +166,11 @@ func (e *Engine) LocateAoA(s *csi.Snapshot) (*Result, error) {
 	}
 	// Triangulate: minimize the sum of squared wrapped angle residuals
 	// over the anchors that actually reported.
-	grid, est := e.residualSearch(active, func(p geom.Point, i int) float64 {
+	est := e.residualSearch(active, func(p geom.Point, i int) float64 {
 		d := geom.WrapAngle(e.anchors[i].AngleTo(p) - bearings[i])
 		return d * d
 	})
-	return &Result{Estimate: est, Likelihood: grid}, nil
+	return &Result{Estimate: est}, nil
 }
 
 // activeAnchors lists the anchors with at least one present band row.
@@ -180,10 +201,7 @@ func (e *Engine) LocateAoASoft(s *csi.Snapshot) (*Result, error) {
 		combined.AddGrid(xy)
 	}
 	_, ix, iy := combined.Max()
-	return &Result{
-		Estimate:   e.CellCenter(ix, iy),
-		Likelihood: combined,
-	}, nil
+	return &Result{Estimate: e.CellCenter(ix, iy)}, nil
 }
 
 // LocateRSSI is a signal-strength trilateration baseline (§9.2 context):
@@ -239,11 +257,11 @@ func (e *Engine) LocateRSSI(s *csi.Snapshot) (*Result, error) {
 		return nil, fmt.Errorf("core: only %d anchors with usable RSSI, need >= 3 for trilateration", len(usable))
 	}
 	// Grid search: maximize the negative range-residual sum.
-	grid, est := e.residualSearch(usable, func(p geom.Point, i int) float64 {
+	est := e.residualSearch(usable, func(p geom.Point, i int) float64 {
 		d := p.Dist(e.anchors[i].Center()) - ranges[i]
 		return d * d
 	})
-	return &Result{Estimate: est, Likelihood: grid}, nil
+	return &Result{Estimate: est}, nil
 }
 
 // checkAlpha validates alpha dimensions against the engine and, for
@@ -292,9 +310,9 @@ func (e *Engine) LocateCTE(freqHz float64, perAnchor [][]complex128) (*Result, e
 		spec := e.angleSpectrum(freqs, values, nil, i)
 		bearings[i] = e.thetas[dsp.ArgMax(spec)]
 	}
-	grid, est := e.residualSearch(all, func(p geom.Point, i int) float64 {
+	est := e.residualSearch(all, func(p geom.Point, i int) float64 {
 		d := geom.WrapAngle(e.anchors[i].AngleTo(p) - bearings[i])
 		return d * d
 	})
-	return &Result{Estimate: est, Likelihood: grid}, nil
+	return &Result{Estimate: est}, nil
 }

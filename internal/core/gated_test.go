@@ -36,7 +36,7 @@ func TestGatedParityTracked(t *testing.T) {
 		gatedCount := 0
 		for _, pt := range gatedScenarioPoints {
 			snap := d.Sounding(pt)
-			full, err := e.Locate(snap)
+			full, err := e.LocateOpts(snap, LocateOptions{})
 			if err != nil {
 				t.Fatalf("seed %d %v: full: %v", seed, pt, err)
 			}
@@ -83,7 +83,8 @@ func TestGatedParityTracked(t *testing.T) {
 }
 
 // TestGatedNilPriorIsFullPath pins track loss: without a prior,
-// LocateOpts is exactly LocateRef.
+// LocateOpts runs the full-grid path — no gate attempt, and the estimate
+// is the best-scored peak of Engine.Likelihood's surface.
 func TestGatedNilPriorIsFullPath(t *testing.T) {
 	d, err := testbed.Paper(3)
 	if err != nil {
@@ -91,10 +92,6 @@ func TestGatedNilPriorIsFullPath(t *testing.T) {
 	}
 	e := paperEngine(t, d)
 	snap := d.Sounding(geom.Pt(0.7, -1.1))
-	full, err := e.LocateRef(snap, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := e.LocateOpts(snap, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +99,17 @@ func TestGatedNilPriorIsFullPath(t *testing.T) {
 	if res.Gated || res.Fallback != "" {
 		t.Fatalf("nil prior produced gated=%v fallback=%q", res.Gated, res.Fallback)
 	}
-	if res.Estimate != full.Estimate {
-		t.Fatalf("nil-prior estimate %v != LocateRef %v", res.Estimate, full.Estimate)
+	a, err := Correct(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surface, _, err := e.Likelihood(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, ok := bestByScore(e.candidatesIn(new(fixRun), surface, 0, 0, surface.W, surface.H))
+	if !ok || res.Estimate != best.Loc {
+		t.Fatalf("nil-prior estimate %v != best peak %v of the full-grid surface", res.Estimate, best.Loc)
 	}
 }
 
@@ -118,7 +124,7 @@ func TestGatedTeleportFallsBack(t *testing.T) {
 	e := paperEngine(t, d)
 	pt := geom.Pt(1.5, 1.8)
 	snap := d.Sounding(pt)
-	full, err := e.Locate(snap)
+	full, err := e.LocateOpts(snap, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +159,7 @@ func TestGatedLowConfFallsBack(t *testing.T) {
 	}
 	pt := geom.Pt(-0.5, 0.9)
 	snap := d.Sounding(pt)
-	full, err := e.Locate(snap)
+	full, err := e.LocateOpts(snap, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestGatedStatsPartition(t *testing.T) {
 	for _, pt := range gatedScenarioPoints {
 		snap := d.Sounding(pt)
 		lastSnap = snap
-		full, err := e.Locate(snap)
+		full, err := e.LocateOpts(snap, LocateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

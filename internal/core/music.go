@@ -94,7 +94,7 @@ func (e *Engine) MUSICSpectrum(freqs []float64, values [][][]complex128, anchor,
 
 // LocateMUSIC is the MUSIC-enhanced AoA baseline: one super-resolved
 // bearing per anchor (strongest pseudo-spectrum peak, numPaths = 2),
-// triangulated exactly like LocateAoA. It shares AoA's fundamental
+// triangulated exactly like LocateAoA (residualSearch). It shares AoA's fundamental
 // weakness — no distance dimension, so a reflection stronger than the
 // direct path still captures the bearing — but resolves closely spaced
 // arrivals the Bartlett spectrum merges.
@@ -122,22 +122,9 @@ func (e *Engine) LocateMUSIC(s *csi.Snapshot) (*Result, error) {
 		}
 		bearings[i] = e.thetas[dsp.ArgMax(spec)]
 	}
-	grid := dsp.NewGrid(e.nx, e.ny)
-	best := math.Inf(1)
-	bx, by := 0, 0
-	for iy := 0; iy < e.ny; iy++ {
-		for ix := 0; ix < e.nx; ix++ {
-			p := e.CellCenter(ix, iy)
-			var res float64
-			for _, i := range active {
-				d := geom.WrapAngle(e.anchors[i].AngleTo(p) - bearings[i])
-				res += d * d
-			}
-			grid.Set(ix, iy, -res)
-			if res < best {
-				best, bx, by = res, ix, iy
-			}
-		}
-	}
-	return &Result{Estimate: e.CellCenter(bx, by), Likelihood: grid}, nil
+	est := e.residualSearch(active, func(p geom.Point, i int) float64 {
+		d := geom.WrapAngle(e.anchors[i].AngleTo(p) - bearings[i])
+		return d * d
+	})
+	return &Result{Estimate: est}, nil
 }

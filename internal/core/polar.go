@@ -64,8 +64,7 @@ func (e *Engine) distanceSpectrum(a *Alpha, anchor int) []float64 {
 	phase := ps.phase[anchor]
 	rphase := ps.phase[a.Ref]
 	out := make([]float64, D)
-	acc := e.getFloats(2 * D)
-	accRe, accIm := (*acc)[:D], (*acc)[D:2*D]
+	accRe, accIm := make([]float64, D), make([]float64, D)
 	for j := 0; j < J; j++ {
 		for d := range accRe {
 			accRe[d] = 0
@@ -88,6 +87,5 @@ func (e *Engine) distanceSpectrum(a *Alpha, anchor int) []float64 {
 			out[d] += math.Sqrt(accRe[d]*accRe[d] + accIm[d]*accIm[d])
 		}
 	}
-	e.putFloats(acc)
 	return out
 }

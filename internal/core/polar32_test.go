@@ -337,9 +337,9 @@ type fixDigest struct {
 	fallback   string
 }
 
-func digestOf(res *Result) fixDigest {
+func digestOf(res *Result, surface *dsp.Grid) fixDigest {
 	return fixDigest{
-		surface:    append([]float64(nil), res.Likelihood.Data...),
+		surface:    surface.Data,
 		candidates: append([]Candidate(nil), res.Candidates...),
 		estimate:   res.Estimate, gated: res.Gated, fallback: res.Fallback,
 	}
@@ -392,16 +392,9 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(26, 1))
 	fixes := func(snap *csi.Snapshot, ref int, simd bool) (full, gated fixDigest) {
 		withRowKernel(simd, func() {
-			res, err := e.LocateOpts(snap, LocateOptions{Ref: ref})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full = digestOf(res)
-			res, err = e.LocateOpts(snap, LocateOptions{Ref: ref, Prior: tightPrior(res.Estimate)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gated = digestOf(res)
+			res, surface := locateSurface(t, e, snap, LocateOptions{Ref: ref})
+			full = digestOf(res, surface)
+			gated = digestOf(locateSurface(t, e, snap, LocateOptions{Ref: ref, Prior: tightPrior(res.Estimate)}))
 		})
 		return full, gated
 	}
@@ -442,12 +435,10 @@ func TestKernelPathsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			comb, per = e.Likelihood(a)
-			res, err := e.LocateOpts(snap, LocateOptions{})
-			if err != nil {
+			if comb, per, err = e.Likelihood(a); err != nil {
 				t.Fatal(err)
 			}
-			full = digestOf(res)
+			full = digestOf(locateSurface(t, e, snap, LocateOptions{}))
 		})
 		return comb, per, full
 	}
@@ -486,7 +477,7 @@ func TestWorkCounters(t *testing.T) {
 		}
 		e := paperEngine(t, d)
 		withRowKernel(simd, func() {
-			if _, err := e.Locate(snap); err != nil {
+			if _, err := e.LocateOpts(snap, LocateOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -5,53 +5,24 @@ import (
 	"bloc/internal/dsp"
 )
 
-// Scratch pools. Every buffer the steady-state fix path needs — the
-// float32 polar and accumulator planes, the tile masks, the corrected-
-// channel workspace, the peak-entropy window — is recycled through
-// sync.Pools owned by the engine, so after warm-up a fix allocates only
-// what it returns: the combined grid, the candidates and the Result.
+// The per-fix workspace. Every buffer a BLoc fix needs — the corrected
+// channels, the float32 polar and coarse planes, the tile masks, the
+// combined XY grid, the peak buffer and the entropy window — lives in
+// one fixRun recycled through the engine's sync.Pool, so after warm-up
+// a fix allocates only what it returns: the Result and its candidates.
 // Hit/miss counters feed Stats.
 
-// getFloats returns a pooled float64 slice of length n (engine-wide pool;
-// capacity is grown to the largest request seen).
-func (e *Engine) getFloats(n int) *[]float64 {
-	if v, ok := e.floatPool.Get().(*[]float64); ok {
-		e.statPoolHits.Add(1)
-		if cap(*v) < n {
-			*v = make([]float64, n)
-		}
-		*v = (*v)[:n]
-		return v
-	}
-	e.statPoolMisses.Add(1)
-	s := make([]float64, n)
-	return &s
-}
-
-func (e *Engine) putFloats(v *[]float64) { e.floatPool.Put(v) }
-
-// getPeaks returns a pooled, length-0 peak-extraction scratch.
-func (e *Engine) getPeaks() *[]dsp.Peak {
-	if v, ok := e.peakPool.Get().(*[]dsp.Peak); ok {
-		e.statPoolHits.Add(1)
-		*v = (*v)[:0]
-		return v
-	}
-	e.statPoolMisses.Add(1)
-	s := make([]dsp.Peak, 0, 16)
-	return &s
-}
-
-func (e *Engine) putPeaks(v *[]dsp.Peak) { e.peakPool.Put(v) }
-
-// gatedRun is the reusable likelihood workspace of one fix (gated.go):
-// the coarse polar/combined planes and per-anchor coarse maxima of a
-// gated attempt, and the refinement polar plane with its per-row spans,
-// the tile masks, the painted-value staging buffer and the row kernel's
-// scratch every fix uses. The struct owns all of its slices; recycling
-// the struct recycles every buffer at once.
-type gatedRun struct {
-	active       []int
+// fixRun is the reusable workspace of one fix (the fix routine in
+// estimate.go, the gate and refinement in gated.go): the corrected-
+// channel box; the coarse polar/combined planes and per-anchor coarse
+// maxima of a gated attempt; the refinement polar plane with its
+// per-row spans, the tile masks, the painted-value staging buffer and
+// the row kernel's scratch; and the combined grid the refinement paints
+// with the peak buffer and entropy window that score it. The struct
+// owns all of its slices; recycling the struct recycles every buffer at
+// once.
+type fixRun struct {
+	alpha        alphaBox     // corrected channels (correctInto)
 	cpolar       []float32    // decimated polar plane (cT·cD)
 	ccomb        []float32    // coarse combined XY plane (cnx·cny)
 	cvals        []float32    // one anchor's projected coarse values
@@ -62,6 +33,9 @@ type gatedRun struct {
 	vals         []float32    // painted tile values awaiting normalization
 	avp          []complex128 // folded beamforming coefficients (bfCoeffs)
 	row          rowScratch   // row kernel operands (polar32.go)
+	grid         dsp.Grid     // combined XY likelihood, zero outside the tiles
+	peaks        []dsp.Peak   // peak-extraction scratch
+	window       []float64    // Eq. 18 entropy window scratch
 }
 
 // rowScratch holds the row kernel's per-row operands (polar32.go): one
@@ -85,16 +59,16 @@ func (s *rowScratch) grow(bands, cols int) {
 	s.im = growF32(s.im, cols+laneBlock)
 }
 
-func (e *Engine) getGatedRun() *gatedRun {
-	if r, ok := e.gatedPool.Get().(*gatedRun); ok {
+func (e *Engine) getRun() *fixRun {
+	if r, ok := e.runPool.Get().(*fixRun); ok {
 		e.statPoolHits.Add(1)
 		return r
 	}
 	e.statPoolMisses.Add(1)
-	return &gatedRun{}
+	return &fixRun{}
 }
 
-func (e *Engine) putGatedRun(r *gatedRun) { e.gatedPool.Put(r) }
+func (e *Engine) putRun(r *fixRun) { e.runPool.Put(r) }
 
 // growF32 and friends resize a scratch slice to length n, reusing
 // capacity. Contents are stale — callers clear() the buffers that are
@@ -134,7 +108,7 @@ func growC128(s []complex128, n int) []complex128 {
 	return s[:n]
 }
 
-// alphaBox is a pooled corrected-channel workspace: one flat backing
+// alphaBox is a reusable corrected-channel workspace: one flat backing
 // array for all K×I×J α values (plus the presence mask), with the nested
 // slice headers Alpha's shape requires carved out once.
 type alphaBox struct {
@@ -146,16 +120,13 @@ type alphaBox struct {
 	haveRows [][]bool
 }
 
-// getAlpha returns a pooled workspace shaped (K, I, J). A box recycled
-// from a different shape is rebuilt.
-func (e *Engine) getAlpha(K, I, J int) *alphaBox {
-	b, ok := e.alphaPool.Get().(*alphaBox)
-	if ok && b.k == K && b.i == I && b.j == J {
-		e.statPoolHits.Add(1)
-		return b
+// shape sizes the box for (K, I, J). A box recycled from a different
+// shape is rebuilt.
+func (b *alphaBox) shape(K, I, J int) {
+	if b.flat != nil && b.k == K && b.i == I && b.j == J {
+		return
 	}
-	e.statPoolMisses.Add(1)
-	b = &alphaBox{
+	*b = alphaBox{
 		k: K, i: I, j: J,
 		flat:     make([]complex128, K*I*J),
 		rows:     make([][]complex128, K*I),
@@ -171,16 +142,14 @@ func (e *Engine) getAlpha(K, I, J int) *alphaBox {
 			b.rows[k*I+i] = b.flat[off : off+J]
 		}
 	}
-	return b
 }
 
-func (e *Engine) putAlpha(b *alphaBox) { e.alphaPool.Put(b) }
-
-// correctInto is CorrectRef writing into a pooled workspace instead of
-// freshly allocated nested slices. The arithmetic, finite guards and
+// correctInto is CorrectRef writing into a reusable workspace instead
+// of freshly allocated nested slices. The arithmetic, finite guards and
 // masking are identical to CorrectRef's (they share refFactor/alphaRow),
 // which the golden parity tests assert bit for bit.
 func (e *Engine) correctInto(s *csi.Snapshot, ref int, b *alphaBox) *Alpha {
+	b.shape(s.NumBands(), s.NumAnchors(), s.NumAntennas())
 	K, I := b.k, b.i
 	b.a.Freqs = s.Freqs
 	b.a.Ref = ref

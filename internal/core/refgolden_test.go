@@ -52,14 +52,14 @@ func TestPooledCorrectMatchesCorrectAllRefs(t *testing.T) {
 	masked := d.Sounding(geom.Pt(0.3, 2.0)).MaskedCopy()
 	masked.MaskMissing(4, 2)
 	masked.MaskMissing(9, 0)
+	var box alphaBox
 	for _, s := range []*csi.Snapshot{full, masked} {
 		for ref := 0; ref < s.NumAnchors(); ref++ {
 			want, err := CorrectRef(s, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
-			got := e.correctInto(s, ref, box)
+			got := e.correctInto(s, ref, &box)
 			if got.Ref != want.Ref {
 				t.Fatalf("ref %d: Ref mismatch %d != %d", ref, got.Ref, want.Ref)
 			}
@@ -79,14 +79,14 @@ func TestPooledCorrectMatchesCorrectAllRefs(t *testing.T) {
 					}
 				}
 			}
-			e.putAlpha(box)
 		}
 	}
 }
 
 // TestLocateRefMatchesReferencePipelineAllRefs checks the end-to-end
-// pooled fix path per reference: the likelihood surface LocateRef reports
-// must match LikelihoodReference's for the same reference.
+// pooled fix path per reference: the likelihood surface a full-grid fix
+// against reference r localizes on must match LikelihoodReference's for
+// the same reference.
 func TestLocateRefMatchesReferencePipelineAllRefs(t *testing.T) {
 	d, err := testbed.Paper(49)
 	if err != nil {
@@ -95,16 +95,13 @@ func TestLocateRefMatchesReferencePipelineAllRefs(t *testing.T) {
 	e := paperEngine(t, d)
 	s := d.Sounding(geom.Pt(1.6, 1.1))
 	for ref := 1; ref < s.NumAnchors(); ref++ {
-		res, err := e.LocateRef(s, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, surface := locateSurface(t, e, s, LocateOptions{Ref: ref})
 		a, err := CorrectRef(s, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refCombined, _ := e.LikelihoodReference(a)
-		cell, peak := requireSurfaceClose(t, "LocateRef likelihood surface", res.Likelihood, refCombined)
+		cell, peak := requireSurfaceClose(t, "fix likelihood surface", surface, refCombined)
 		t.Logf("ref %d: worst cell %.4f, peak %.3f%%", ref, cell, 100*peak)
 	}
 }
@@ -153,10 +150,10 @@ func TestLocateRefSurvivesDeadMaster(t *testing.T) {
 	for k := 0; k < s.NumBands(); k++ {
 		s.MaskMissing(k, 0)
 	}
-	if _, err := e.Locate(s); err == nil {
+	if _, err := e.LocateOpts(s, LocateOptions{}); err == nil {
 		t.Fatal("ref-0 localization should fail with every master row missing")
 	}
-	res, err := e.LocateRef(s, 1)
+	res, err := e.LocateOpts(s, LocateOptions{Ref: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +186,7 @@ func TestCorrectRefFiniteGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			box := e.getAlpha(s.NumBands(), s.NumAnchors(), s.NumAntennas())
-			defer e.putAlpha(box)
-			a = e.correctInto(s, 0, box)
+			a = e.correctInto(s, 0, new(alphaBox))
 		}
 		if a.Have == nil {
 			t.Fatalf("%s: guard should materialize a mask", path)
@@ -218,7 +213,7 @@ func TestCorrectRefFiniteGuard(t *testing.T) {
 		}
 	}
 	// The poisoned snapshot must still localize — and never emit NaN.
-	res, err := e.Locate(s)
+	res, err := e.LocateOpts(s, LocateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

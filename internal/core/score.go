@@ -16,17 +16,78 @@ type Candidate struct {
 	Score     float64    // s_x = p_x · e^{bH − aΣd}
 }
 
-// candidates extracts likelihood peaks and computes their Eq. 18 scores.
-func (e *Engine) candidates(grid *dsp.Grid) []Candidate {
-	return e.candidatesIn(grid, 0, 0, grid.W, grid.H)
+// pick extracts the peaks of the refined surface r.grid, scores them
+// with Eq. 18 and returns the Result of the winner under sel; false
+// when no peak survives.
+//
+// The surface is zero outside the tiles in r.tiles, so the peak scan
+// only needs their bounding rect (candidatesIn): same peaks, a fraction
+// of the full-grid scan. Painting only a subset of tiles creates
+// artificial cliffs at the selection boundary, and a background cell on
+// the high side of a cliff is a local maximum the full grid would never
+// report. True candidates of a gated fix sit inside a value tile (± the
+// coarse→full shift), a full ring away from any boundary — so any
+// candidate whose 3×3 neighborhood leaves the refined region is a
+// truncation artifact and is dropped before Eq. 18 gets to score it.
+// With every tile selected the rect is the whole grid and every
+// candidate is interior.
+func (e *Engine) pick(r *fixRun, gt *gatedTables, sel func([]Candidate) (Candidate, bool)) (*Result, bool) {
+	tc := e.cfg.Gate.TileCells
+	minTx, minTy, maxTx, maxTy := gt.tnx, gt.tny, -1, -1
+	for ti, on := range r.tiles {
+		if !on {
+			continue
+		}
+		tix, tiy := ti%gt.tnx, ti/gt.tnx
+		if tix < minTx {
+			minTx = tix
+		}
+		if tix > maxTx {
+			maxTx = tix
+		}
+		if tiy < minTy {
+			minTy = tiy
+		}
+		if tiy > maxTy {
+			maxTy = tiy
+		}
+	}
+	cands := e.candidatesIn(r, &r.grid, minTx*tc, minTy*tc, (maxTx+1)*tc, (maxTy+1)*tc)
+	kept := cands[:0]
+	for _, c := range cands {
+		fx, fy := e.cellOf(c.Loc)
+		ix, iy := int(fx+0.5), int(fy+0.5)
+		interior := true
+		for dy := -1; dy <= 1 && interior; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				qx, qy := ix+dx, iy+dy
+				if qx < 0 || qx >= e.nx || qy < 0 || qy >= e.ny {
+					continue
+				}
+				if !r.tiles[e.tileOf(qy*e.nx+qx, gt.tnx)] {
+					interior = false
+					break
+				}
+			}
+		}
+		if interior {
+			kept = append(kept, c)
+		}
+	}
+	best, ok := sel(kept)
+	if !ok {
+		return nil, false
+	}
+	return &Result{Estimate: best.Loc, Candidates: kept}, true
 }
 
-// candidatesIn is candidates with the peak scan restricted to the
-// half-open cell rect [x0,x1)×[y0,y1). The caller guarantees every
-// above-threshold cell lies inside the rect (the gated path paints only
-// there), so the rect maximum is the global maximum and the restricted
-// scan reports the same peaks as a full one.
-func (e *Engine) candidatesIn(grid *dsp.Grid, x0, y0, x1, y1 int) []Candidate {
+// candidatesIn extracts the likelihood peaks of grid inside the
+// half-open cell rect [x0,x1)×[y0,y1) and computes their Eq. 18 scores,
+// with r's peak buffer and entropy window as scratch. The caller
+// guarantees every above-threshold cell lies inside the rect, so the
+// rect maximum is the global maximum and the restricted scan reports
+// the same peaks as a full one.
+func (e *Engine) candidatesIn(r *fixRun, grid *dsp.Grid, x0, y0, x1, y1 int) []Candidate {
 	if x0 < 0 {
 		x0 = 0
 	}
@@ -48,17 +109,16 @@ func (e *Engine) candidatesIn(grid *dsp.Grid, x0, y0, x1, y1 int) []Candidate {
 			}
 		}
 	}
-	peakBuf := e.getPeaks()
-	peaks := grid.FindPeaksRectInto(*peakBuf, e.cfg.PeakMinFrac, e.cfg.PeakMinSepCells, gmax, x0, y0, x1, y1)
-	out := make([]Candidate, 0, len(peaks))
-	scratch := e.getFloats(e.cfg.EntropyWindow * e.cfg.EntropyWindow)
-	for _, p := range peaks {
+	r.peaks = grid.FindPeaksRectInto(r.peaks, e.cfg.PeakMinFrac, e.cfg.PeakMinSepCells, gmax, x0, y0, x1, y1)
+	r.window = growF64(r.window, e.cfg.EntropyWindow*e.cfg.EntropyWindow)
+	out := make([]Candidate, 0, len(r.peaks))
+	for _, p := range r.peaks {
 		loc := e.GridPoint(p)
 		var sumDist float64
 		for _, a := range e.anchors {
 			sumDist += loc.Dist(a.Center())
 		}
-		h := grid.PeakNegentropyScratch(p.IX, p.IY, e.cfg.EntropyWindow, e.cfg.EntropyStride, *scratch)
+		h := grid.PeakNegentropyScratch(p.IX, p.IY, e.cfg.EntropyWindow, e.cfg.EntropyStride, r.window)
 		score := p.Value * math.Exp(e.cfg.ScoreB*h-e.cfg.ScoreA*sumDist)
 		out = append(out, Candidate{
 			Loc:       loc,
@@ -68,9 +128,6 @@ func (e *Engine) candidatesIn(grid *dsp.Grid, x0, y0, x1, y1 int) []Candidate {
 			Score:     score,
 		})
 	}
-	e.putFloats(scratch)
-	*peakBuf = peaks // keep any regrown backing array
-	e.putPeaks(peakBuf)
 	return out
 }
 

@@ -8,17 +8,25 @@ import (
 // Likelihood computes the combined XY likelihood of Eq. 17 summed over all
 // anchors (§5.3), optionally normalizing each anchor's map to unit maximum
 // first. The per-anchor maps are also returned for inspection (Fig. 6c,
-// Fig. 8c).
+// Fig. 8c). The caller owns every returned grid.
 //
 // The surface is the one every full-grid fix localizes on: the float32
 // refinement routine (gated.go) with every tile selected, run on the
-// calling goroutine. In degraded mode (partial alpha), anchors with no
-// usable band are skipped entirely — their perAnchor entry is nil and
-// they contribute nothing to the combined sum.
-func (e *Engine) Likelihood(a *Alpha) (combined *dsp.Grid, perAnchor []*dsp.Grid) {
+// calling goroutine. a is checked as a fix checks its channels. In
+// degraded mode (partial alpha), anchors with no usable band are skipped
+// entirely — their perAnchor entry is nil and they contribute nothing to
+// the combined sum.
+func (e *Engine) Likelihood(a *Alpha) (combined *dsp.Grid, perAnchor []*dsp.Grid, err error) {
+	if err := e.checkAlpha(a); err != nil {
+		return nil, nil, err
+	}
+	r := e.getRun()
+	defer e.putRun(r)
+	gt := e.gatedFor(a.Ref)
+	r.selectAll(gt)
 	perAnchor = make([]*dsp.Grid, a.NumAnchors())
-	combined = e.fullLikelihood(a, perAnchor)
-	return combined, perAnchor
+	e.refine(r, e.planesFor(a.Freqs), gt, a, nil, perAnchor)
+	return r.grid.Clone(), perAnchor, nil
 }
 
 // AngleLikelihoodXY maps Eq. 15 over the XY plane for one anchor: each

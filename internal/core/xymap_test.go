@@ -24,7 +24,10 @@ func TestPolarToXYBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, per := e.Likelihood(a)
+	_, per, err := e.Likelihood(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	xy := per[1]
 	nx, ny := e.GridSize()
 	arr := d.Anchors[1]
@@ -134,7 +137,10 @@ func TestLikelihoodPerAnchorNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, per := e.Likelihood(a)
+	combined, per, err := e.Likelihood(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, g := range per {
 		gmax, _, _ := g.Max()
 		if math.Abs(gmax-1) > 1e-9 {
@@ -170,25 +176,26 @@ func TestEngineRejectsEmptyAlpha(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := paperEngine(t, d)
-	if _, err := e.LocateAlpha(&Alpha{}); err == nil {
+	if _, _, err := e.Likelihood(&Alpha{}); err == nil {
 		t.Error("empty alpha should be rejected")
 	}
-	// Alpha with wrong anchor count.
-	bands := d.Bands[:2]
-	snap := csi.NewSnapshot(bands, 2, 4)
-	for b := range snap.Bands {
-		for i := range snap.Tag[b] {
-			for j := range snap.Tag[b][i] {
-				snap.Tag[b][i][j] = 1
+	// Alphas with fewer and with more anchors than the engine.
+	for _, anchors := range []int{2, 5} {
+		snap := csi.NewSnapshot(d.Bands[:2], anchors, 4)
+		for b := range snap.Bands {
+			for i := range snap.Tag[b] {
+				for j := range snap.Tag[b][i] {
+					snap.Tag[b][i][j] = 1
+				}
+				snap.Master[b][i] = 1
 			}
-			snap.Master[b][i] = 1
 		}
-	}
-	a, err := Correct(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.LocateAlpha(a); err == nil {
-		t.Error("anchor-count mismatch should be rejected")
+		a, err := Correct(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Likelihood(a); err == nil {
+			t.Errorf("%d-anchor alpha on a 4-anchor engine should be rejected", anchors)
+		}
 	}
 }

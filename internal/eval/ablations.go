@@ -325,7 +325,7 @@ func AblationHopInvariance(seed uint64, tag geom.Point, hops []int) (permuted, r
 		if err != nil {
 			return geom.Point{}, err
 		}
-		res, err := eng.Locate(dep.Fork(salt).Sounding(tag))
+		res, err := eng.LocateOpts(dep.Fork(salt).Sounding(tag), core.LocateOptions{})
 		if err != nil {
 			return geom.Point{}, err
 		}
@@ -544,7 +544,7 @@ func AblationMotion(seed uint64, positions int, speeds []float64) ([]MotionPoint
 			snap := d.SoundingMoving(func(band int) geom.Point {
 				return dep.Env.Room.Clamp(start.Add(dir.Scale(float64(band) * step)))
 			})
-			res, err := eng.Locate(snap)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("motion %v position %d: %w", speed, pi, err)
 			}
@@ -604,7 +604,7 @@ func AblationCTE(seed uint64, positions int) (*CTEResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rb, err := eng.Locate(d.Sounding(p))
+		rb, err := eng.LocateOpts(d.Sounding(p), core.LocateOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -667,7 +667,7 @@ func AblationWiFi(seed uint64, positions int) (*WiFiResult, error) {
 		}
 		d := dep.Fork(uint64(pi))
 		snap := d.Sounding(p)
-		rb, err := eng.Locate(snap)
+		rb, err := eng.LocateOpts(snap, core.LocateOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -709,7 +709,7 @@ func (s *Suite) AblationFailover() ([]FailoverPoint, error) {
 	N := len(s.Dep.Anchors)
 	refEst := func(ref int) Estimator {
 		return func(eng *core.Engine, snap *csi.Snapshot) (*core.Result, error) {
-			return eng.LocateRef(snap, ref)
+			return eng.LocateOpts(snap, core.LocateOptions{Ref: ref})
 		}
 	}
 	maskAnchor := func(i int) func(*csi.Snapshot) (*csi.Snapshot, error) {

@@ -204,7 +204,7 @@ func ckRun(seed uint64, deps []*testbed.Deployment, engines []*core.Engine,
 				}
 				return res.Estimate, nil
 			}
-			res, err := engines[home].LocateRef(snap, info.Ref)
+			res, err := engines[home].LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}

@@ -121,7 +121,7 @@ func AblationDegrade(seed uint64) (*DegradeResult, error) {
 			filt.Observe(fingerprint.Signature(snap))
 		}
 
-		full, err := eng.Locate(snap)
+		full, err := eng.LocateOpts(snap, core.LocateOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("degrade: spot %d full CSI: %w", i, err)
 		}

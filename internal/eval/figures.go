@@ -539,12 +539,14 @@ func (s *Suite) Fig6(tag geom.Point) (*Fig6Result, error) {
 	res := &Fig6Result{Tag: tag}
 	res.Angle = s.Eng.AngleLikelihoodXY(a, 1)
 	res.Distance = s.Eng.DistanceLikelihoodXY(a, 1)
-	loc, err := s.Eng.LocateAlpha(a)
+	loc, err := s.Eng.LocateOpts(snap, core.LocateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	res.Combined = loc.Likelihood
 	res.Estimate = loc.Estimate
+	if res.Combined, _, err = s.Eng.Likelihood(a); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -106,7 +106,7 @@ func AblationOverload(seed uint64) (*OverloadResult, error) {
 			// pressure does not depend on the host machine's speed.
 			//lint:ignore clockcheck the drill simulates solver latency in real time on purpose
 			time.Sleep(8 * time.Millisecond)
-			res, err := eng.LocateRef(snap, info.Ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}
@@ -292,7 +292,7 @@ func AblationOverload(seed uint64) (*OverloadResult, error) {
 			// The daemons' forks are deterministic, so the oracle
 			// recomputes exactly the snapshot the server assembled.
 			snap := dep.Fork(uint64(1)<<32 | uint64(r)).Sounding(tagPos(1))
-			res, err := eng.LocateRef(snap, ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: ref})
 			if err != nil {
 				return nil, fmt.Errorf("overload: oracle round %d ref %d: %w", r, ref, err)
 			}

@@ -94,7 +94,7 @@ func (s *Suite) runFixes(fixes, workers int) error {
 				return
 			}
 			snap := s.DS.Snapshots[i%len(s.DS.Snapshots)]
-			if _, err := s.Eng.Locate(snap); err != nil {
+			if _, err := s.Eng.LocateOpts(snap, core.LocateOptions{}); err != nil {
 				mu.Lock()
 				if fail == nil {
 					fail = err
@@ -127,7 +127,10 @@ func (s *Suite) MaxKernelDivergence(n int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		opt, _ := s.Eng.Likelihood(a)
+		opt, _, err := s.Eng.Likelihood(a)
+		if err != nil {
+			return 0, err
+		}
 		ref, _ := s.Eng.LikelihoodReference(a)
 		for c := range ref.Data {
 			if d := math.Abs(opt.Data[c] - ref.Data[c]); d > worst {

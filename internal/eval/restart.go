@@ -105,7 +105,7 @@ func AblationRestart(seed uint64, positions int, phaseErrDeg float64) (*RestartR
 			if err != nil {
 				return nil, fmt.Errorf("restart warm apply: %w", err)
 			}
-			wres, err := eng.Locate(ws)
+			wres, err := eng.LocateOpts(ws, core.LocateOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("restart warm position %d round %d: %w", pi, r, err)
 			}
@@ -120,7 +120,7 @@ func AblationRestart(seed uint64, positions int, phaseErrDeg float64) (*RestartR
 					return nil, fmt.Errorf("restart cold apply: %w", err)
 				}
 			}
-			cres, err := eng.Locate(cs)
+			cres, err := eng.LocateOpts(cs, core.LocateOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("restart cold position %d round %d: %w", pi, r, err)
 			}

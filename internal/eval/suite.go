@@ -16,7 +16,7 @@ type Estimator func(eng *core.Engine, s *csi.Snapshot) (*core.Result, error)
 // Named estimators for the compared schemes.
 var (
 	EstimatorBLoc Estimator = func(eng *core.Engine, s *csi.Snapshot) (*core.Result, error) {
-		return eng.Locate(s)
+		return eng.LocateOpts(s, core.LocateOptions{})
 	}
 	EstimatorAoA Estimator = func(eng *core.Engine, s *csi.Snapshot) (*core.Result, error) {
 		return eng.LocateAoA(s)

@@ -260,7 +260,7 @@ func AblationGated(seed uint64, steps int) ([]GatedPoint, error) {
 
 			//lint:ignore clockcheck latency comparison needs the real monotonic clock
 			t0 := time.Now()
-			full, err := eng.Locate(snap)
+			full, err := eng.LocateOpts(snap, core.LocateOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("gated ablation %q step %d (full): %w", sc.name, i, err)
 			}

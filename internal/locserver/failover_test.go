@@ -172,7 +172,7 @@ func TestFaultDrillMasterDeathAndCorruption(t *testing.T) {
 			}
 			return res.Estimate, nil
 		}
-		res, err := eng.LocateRef(snap, info.Ref)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 		if err != nil {
 			return geom.Point{}, err
 		}

@@ -86,7 +86,7 @@ func TestQuorumCompletesPartialRound(t *testing.T) {
 		mu.Lock()
 		gotSnap = snap
 		mu.Unlock()
-		res, err := eng.LocateRef(snap, info.Ref)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 		if err != nil {
 			return geom.Point{}, err
 		}
@@ -362,7 +362,7 @@ func TestSoakUnderFaults(t *testing.T) {
 		HeartbeatMisses:   5,
 		Logger:            quietLogger(),
 		OnSnapshot: func(info RoundInfo, snap *csi.Snapshot) (geom.Point, error) {
-			res, err := eng.LocateRef(snap, info.Ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}

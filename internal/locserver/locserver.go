@@ -63,7 +63,7 @@ type Config struct {
 	// error drops the round (logged, not fatal). Partial or sanitized
 	// rounds deliver a snapshot with a presence mask (snap.Complete() ==
 	// false). info.Ref is the elected α-correction reference the
-	// estimator must use (core.LocateRef), and info.Coarse marks a
+	// estimator must use (core.LocateOptions.Ref), and info.Coarse marks a
 	// degraded round that only supports an RSSI-style coarse fix.
 	OnSnapshot func(info RoundInfo, snap *csi.Snapshot) (geom.Point, error)
 	// Logger defaults to slog.Default().
@@ -180,7 +180,7 @@ type RoundInfo struct {
 	Tag   uint16 // which tag the round belongs to
 	Round uint32
 	// Ref is the anchor index the snapshot must be α-corrected against
-	// (core.LocateRef). It is the reference that was elected when the
+	// (core.LocateOptions.Ref). It is the reference that was elected when the
 	// round started: an in-flight round always completes on the
 	// reference its rows were collected under, even if a re-election
 	// happened meanwhile.

@@ -172,7 +172,7 @@ func TestDistributedLocalizationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, daemons := startTestbed(t, seed, func(info RoundInfo, snap *csi.Snapshot) (geom.Point, error) {
-		res, err := eng.LocateRef(snap, info.Ref)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 		if err != nil {
 			return geom.Point{}, err
 		}

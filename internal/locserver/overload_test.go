@@ -540,7 +540,7 @@ func TestOverloadDrill(t *testing.T) {
 			// drill's queue could drain as fast as it fills on a fast
 			// machine and overload would depend on scheduling luck.
 			time.Sleep(8 * time.Millisecond)
-			res, err := eng.LocateRef(snap, info.Ref)
+			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 			if err != nil {
 				return geom.Point{}, err
 			}
@@ -749,7 +749,7 @@ func TestOverloadDrill(t *testing.T) {
 	var cleanErrs []float64
 	for _, rr := range recRounds {
 		snap := dep.Fork(uint64(1)<<32 | uint64(rr)).Sounding(tagPos(1))
-		res, err := eng.LocateRef(snap, ref)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: ref})
 		if err != nil {
 			t.Fatalf("oracle round %d ref %d: %v", rr, ref, err)
 		}

@@ -118,7 +118,7 @@ func startDurableTestbed(t *testing.T, seed uint64, store *durable.Store, h *cal
 				snap = corrected
 			}
 		}
-		res, err := eng.LocateRef(snap, info.Ref)
+		res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
 		if err != nil {
 			return geom.Point{}, err
 		}

@@ -273,7 +273,7 @@ func (s *System) LocalizeSnapshot(m Method, snap *Snapshot) (*Fix, error) {
 	)
 	switch m {
 	case MethodBLoc:
-		res, err = s.eng.Locate(snap)
+		res, err = s.eng.LocateOpts(snap, core.LocateOptions{})
 	case MethodAoA:
 		res, err = s.eng.LocateAoA(snap)
 	case MethodAoASoft:
