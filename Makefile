@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint bench-build cross ci fuzz bench bench-check perf figures figures-full figures-check clean
+.PHONY: all build test race soak chaos chaos-cells chaos-degrade drill overload stress vet lint bench-build cross ci fuzz bench perf figures figures-full figures-check clean
 
 all: vet lint test build
 
@@ -147,11 +147,6 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench 'LocateSingleFix|PolarFill32$$|PolarRow|^BenchmarkLikelihood$$' -benchmem . ./internal/core/
 	$(GO) run ./cmd/bloc-bench -exp perf -bench-out BENCH_3.json
-
-# CI smoke: quick perf measurement compared against the committed report;
-# fails on compile breakage or a >2x regression of the median pass.
-bench-check:
-	$(GO) run ./cmd/bloc-bench -exp perf -perf-fixes 10 -check BENCH_3.json
 
 # Perf smoke: the gated vs full-grid fix and per-path row-kernel
 # micro-benchmarks plus the quick regression check against the committed

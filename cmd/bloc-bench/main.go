@@ -47,6 +47,11 @@ func main() {
 		baseAllocs = flag.Float64("baseline-allocs", 401, "baseline allocs/fix (frozen pre-optimization measurement)")
 	)
 	flag.Parse()
+	if *positions < 1 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -positions: want at least 1\n", *positions)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *exp == "perf" {
 		runPerf(*seed, *perfFixes,

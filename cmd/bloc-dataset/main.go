@@ -64,6 +64,11 @@ func record(args []string) {
 	positions := fs.Int("positions", 300, "number of tag positions")
 	seed := fs.Uint64("seed", 7, "simulation seed")
 	fs.Parse(args)
+	if *positions < 1 {
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -positions: want at least 1\n", *positions)
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	dep, err := testbed.Paper(*seed)
 	if err != nil {

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,21 +22,50 @@ import (
 	"bloc/internal/geom"
 )
 
+// errUsage marks a bad command line. run has already printed the reason
+// and the flag summary to stderr; main exits with status 2.
+var errUsage = errors.New("usage error")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatal(err)
+	}
+}
+
+// run parses args, localizes the sampled positions and prints the
+// errors to stdout; flag errors and the flag summary go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bloc-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		positions = flag.Int("positions", 50, "number of tag positions to localize")
-		method    = flag.String("method", "bloc", "estimator: bloc, aoa, aoa-soft, shortest-distance, rssi, music")
-		anchors   = flag.Int("anchors", 4, "number of anchors")
-		antennas  = flag.Int("antennas", 4, "antennas per anchor")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		plan      = flag.String("floorplan", "", "JSON floorplan file (overrides the paper room)")
-		verbose   = flag.Bool("v", false, "print per-position errors")
+		positions = fs.Int("positions", 50, "number of tag positions to localize")
+		method    = fs.String("method", "bloc", "estimator: bloc, aoa, aoa-soft, shortest-distance, rssi, music")
+		anchors   = fs.Int("anchors", 4, "number of anchors")
+		antennas  = fs.Int("antennas", 4, "antennas per anchor")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		plan      = fs.String("floorplan", "", "JSON floorplan file (overrides the paper room)")
+		verbose   = fs.Bool("v", false, "print per-position errors")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if *positions < 1 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -positions: want at least 1\n", *positions)
+		fs.Usage()
+		return errUsage
+	}
 
 	m, err := parseMethod(*method)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := bloc.Options{
 		Anchors:   *anchors,
@@ -45,7 +76,7 @@ func main() {
 	if *plan != "" {
 		fp, err := bloc.LoadFloorplan(*plan)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opts = fp.Options(*seed)
 		if *anchors != 4 {
@@ -54,15 +85,15 @@ func main() {
 		if *antennas != 4 {
 			opts.Antennas = *antennas
 		}
-		fmt.Printf("floorplan: %s\n", fp.Name)
+		fmt.Fprintf(stdout, "floorplan: %s\n", fp.Name)
 	}
 	sys, err := bloc.NewSystem(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	min, max := sys.Room()
-	fmt.Printf("BLoc simulation: %d positions, %d anchors, room %.1fx%.1f m, method %s\n",
+	fmt.Fprintf(stdout, "BLoc simulation: %d positions, %d anchors, room %.1fx%.1f m, method %s\n",
 		*positions, len(sys.AnchorPositions()), max.X-min.X, max.Y-min.Y, m)
 
 	pts := eval.SamplePositions(geom.NewRect(min, max), *positions, 0.04, 0.25, *seed)
@@ -70,22 +101,22 @@ func main() {
 	for i, p := range pts {
 		fix, err := sys.LocalizeWith(m, p)
 		if err != nil {
-			log.Fatalf("position %d: %v", i, err)
+			return fmt.Errorf("position %d: %w", i, err)
 		}
 		errs = append(errs, fix.Error)
 		if *verbose {
-			fmt.Printf("  #%03d truth %v -> estimate %v  error %.2f m\n",
+			fmt.Fprintf(stdout, "  #%03d truth %v -> estimate %v  error %.2f m\n",
 				i, p, fix.Estimate, fix.Error)
 		}
 	}
 	st := eval.NewErrorStats(errs)
-	fmt.Printf("\nmedian %.0f cm   p90 %.0f cm   mean %.0f cm   max %.0f cm\n",
+	fmt.Fprintf(stdout, "\nmedian %.0f cm   p90 %.0f cm   mean %.0f cm   max %.0f cm\n",
 		st.Median*100, st.P90*100, st.Mean*100, st.Max*100)
-	fmt.Println("\nerror CDF:")
+	fmt.Fprintln(stdout, "\nerror CDF:")
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		fmt.Printf("  %3.0f%% of fixes within %.2f m\n", frac*100, dsp.Percentile(errs, frac*100))
+		fmt.Fprintf(stdout, "  %3.0f%% of fixes within %.2f m\n", frac*100, dsp.Percentile(errs, frac*100))
 	}
-	os.Exit(0)
+	return nil
 }
 
 func parseMethod(s string) (bloc.Method, error) {

@@ -9,168 +9,120 @@ import (
 	"bloc/internal/geom"
 )
 
-// Config holds the tunable parameters of the localization engine. The
-// defaults reproduce §7: score weights a = 0.1, b = 0.05 and a circular
-// 7×7 entropy window.
+// Config holds the engine parameters a caller may vary: the room, the
+// XY cell size (the Fig. 13 sweep) and the Eq. 18 score weights (the
+// score and weight ablations). DefaultConfig reproduces §7: a 5 cm grid
+// and a = 0.1, b = 0.05. The rest of §7's estimator is fixed: the polar
+// grid resolution, the 7×7 entropy window, the peak filter and the
+// per-anchor normalization are the constants below, and the gated
+// search's tuning is defaultGate.
 type Config struct {
 	// Room bounds the XY search grid.
 	Room geom.Rect
 	// CellM is the XY grid cell size in meters.
 	CellM float64
-	// ThetaStepDeg is the angular resolution of the polar likelihood.
-	ThetaStepDeg float64
-	// DeltaStepM is the relative-distance resolution of the polar
-	// likelihood.
-	DeltaStepM float64
 	// ScoreA and ScoreB weight distance and entropy in Eq. 18.
 	ScoreA, ScoreB float64
-	// EntropyWindow is the circular neighborhood diameter (in window
-	// samples) for the peak entropy H; EntropyStride is the spacing in
-	// grid cells between window samples, scaling the window's physical
-	// footprint (7 samples × stride 4 × 5 cm cells ≈ a 1.4 m
-	// neighborhood).
-	EntropyWindow int
-	EntropyStride int
-	// PeakMinFrac drops likelihood peaks below this fraction of the
-	// global maximum.
-	PeakMinFrac float64
-	// PeakMinSepCells suppresses peaks within this Chebyshev distance of
-	// a stronger peak.
-	PeakMinSepCells int
-	// NormalizePerAnchor scales each anchor's XY likelihood to unit
-	// maximum before summing, so near anchors do not drown far ones.
-	NormalizePerAnchor bool
-	// Gate tunes the prior-gated coarse-to-fine search and the
-	// refinement sweep every fix runs (gated.go). Zero fields take their
-	// defaults in NewEngine.
-	Gate GateConfig
 }
 
-// GateConfig tunes the two-stage gated search of LocateOpts: how much the
-// coarse pass decimates each grid, how refinement tiles are selected, and
-// when the gate refuses and falls back to the full-grid path. The
-// refinement strides and the tile size also shape every full-grid fix,
-// which runs the same refinement over every tile.
-type GateConfig struct {
-	// CoarseStep is the XY decimation of the coarse pass: every
-	// CoarseStep-th cell in each dimension is evaluated (default 4).
-	CoarseStep int
-	// CoarseThetaStep / CoarseDeltaStep decimate the polar grid the coarse
-	// pass samples (defaults 4 and 16). θ is sampled nearest-row and its
-	// error absorbed by the selection safety margin; Δ is projected with
-	// a two-tap linear interpolation (the magnitude is smooth along Δ),
+// The polar likelihood's resolution: θ in 1° steps across the front
+// half-plane, Δ in 5 cm steps.
+const (
+	thetaStepDeg float64 = 1.0
+	deltaStepM   float64 = 0.05
+)
+
+// Eq. 18's peak entropy H is taken over a circular neighborhood
+// entropyWindow window samples across, entropyStride grid cells apart:
+// 7 samples × stride 4 × 5 cm cells ≈ a 1.4 m neighborhood.
+const (
+	entropyWindow = 7
+	entropyStride = 4
+)
+
+// Candidate peaks: likelihood peaks below peakMinFrac of the global
+// maximum are dropped, and a peak within peakMinSepCells (Chebyshev) of
+// a stronger one is suppressed. (The surface they are found on always
+// scales each anchor's XY likelihood to unit maximum before summing the
+// anchors, so near anchors do not drown far ones.)
+const (
+	peakMinFrac     float64 = 0.5
+	peakMinSepCells         = 4
+)
+
+// gateParams tunes the two-stage gated search of LocateOpts: how much
+// the coarse pass decimates each grid, how refinement tiles are
+// selected, and when the gate refuses and falls back to the full-grid
+// path. The refinement strides and the tile size also shape every
+// full-grid fix, which runs the same refinement over every tile. Every
+// engine starts from defaultGate; only in-package tests change their
+// engine's copy, before its first fix.
+type gateParams struct {
+	// coarseStep is the XY decimation of the coarse pass: every
+	// coarseStep-th cell in each dimension is evaluated.
+	coarseStep int
+	// coarseThetaStep / coarseDeltaStep decimate the polar grid the
+	// coarse pass samples. θ is sampled nearest-row and its error
+	// absorbed by the selection safety margin; Δ is projected with a
+	// two-tap linear interpolation (the magnitude is smooth along Δ),
 	// which is what lets the Δ stride run twice as coarse as θ.
-	CoarseThetaStep int
-	CoarseDeltaStep int
-	// RefineDeltaStep is the Δ sampling stride of the full-resolution
-	// refinement sweep of every fix (default 4): polarFill32 evaluates
-	// every RefineDeltaStep-th column exactly and linearly interpolates
-	// the rest. The Δ magnitude profile is band-limited by the channel
+	coarseThetaStep int
+	coarseDeltaStep int
+	// refineDeltaStep is the Δ sampling stride of the full-resolution
+	// refinement sweep of every fix: polarFill32 evaluates every
+	// refineDeltaStep-th column exactly and linearly interpolates the
+	// rest. The Δ magnitude profile is band-limited by the channel
 	// spread (correlation scale of meters against a few-centimeter
 	// grid), so 4 keeps the peak-cell error under 1%; 1 disables
 	// interpolation and recovers the exact sweep.
-	RefineDeltaStep int
-	// RefineThetaStep is the θ sampling stride of the refinement sweep
-	// (default 2): every RefineThetaStep-th row (plus the last) is
-	// evaluated and skipped rows are interpolated. A J-element array's
-	// beam pattern has only ~J degrees of freedom across the aperture,
-	// so the 1° row grid heavily oversamples it; 1 disables row
-	// interpolation.
-	RefineThetaStep int
-	// TileCells is the edge length, in XY cells, of a refinement tile
-	// (default 16 → 0.8 m at the paper's 5 cm grid).
-	TileCells int
-	// SelectSafety scales the coarse tile-selection threshold below
-	// PeakMinFrac (default 0.8): a tile is refined when it holds a
-	// coarse local maximum at SelectSafety·PeakMinFrac of the coarse
-	// global maximum. Measured decimation undershoot at true peaks is
-	// under 10%, so 0.8 keeps every full-grid candidate selectable while
-	// rejecting background ripple.
-	SelectSafety float64
-	// MaxTileFrac aborts the gate when the value-selected tile fraction
-	// exceeds it (default 0.35): a flat coarse surface means low peak
-	// confidence, and refining most of the room costs more than the full
-	// path it is supposed to replace.
-	MaxTileFrac float64
-	// DisagreeMarginM grows the prior ellipse for the coarse/prior
-	// agreement check (default 0.5 m): a coarse argmax outside the grown
-	// ellipse falls back to the full grid.
-	DisagreeMarginM float64
+	refineDeltaStep int
+	// refineThetaStep is the θ sampling stride of the refinement sweep:
+	// every refineThetaStep-th row (plus the last) is evaluated and
+	// skipped rows are interpolated. A J-element array's beam pattern
+	// has only ~J degrees of freedom across the aperture, so the 1° row
+	// grid heavily oversamples it; 1 disables row interpolation.
+	refineThetaStep int
+	// tileCells is the edge length, in XY cells, of a refinement tile
+	// (16 → 0.8 m at the paper's 5 cm grid).
+	tileCells int
+	// selectSafety scales the coarse tile-selection threshold below
+	// peakMinFrac: a tile is refined when it holds a coarse local
+	// maximum at selectSafety·peakMinFrac of the coarse global maximum.
+	// Measured decimation undershoot at true peaks is under 10%, so 0.8
+	// keeps every full-grid candidate selectable while rejecting
+	// background ripple.
+	selectSafety float64
+	// maxTileFrac aborts the gate when the value-selected tile fraction
+	// exceeds it: a flat coarse surface means low peak confidence, and
+	// refining most of the room costs more than the full path it is
+	// supposed to replace.
+	maxTileFrac float64
+	// disagreeMarginM grows the prior ellipse for the coarse/prior
+	// agreement check: a coarse argmax outside the grown ellipse falls
+	// back to the full grid.
+	disagreeMarginM float64
 }
 
-// DefaultGateConfig returns the gated-search defaults.
-func DefaultGateConfig() GateConfig {
-	return GateConfig{
-		CoarseStep:      4,
-		CoarseThetaStep: 4,
-		CoarseDeltaStep: 16,
-		RefineDeltaStep: 4,
-		RefineThetaStep: 2,
-		TileCells:       16,
-		SelectSafety:    0.8,
-		MaxTileFrac:     0.35,
-		DisagreeMarginM: 0.5,
-	}
-}
-
-// withDefaults fills zero fields from DefaultGateConfig.
-func (g GateConfig) withDefaults() GateConfig {
-	d := DefaultGateConfig()
-	if g.CoarseStep == 0 {
-		g.CoarseStep = d.CoarseStep
-	}
-	if g.CoarseThetaStep == 0 {
-		g.CoarseThetaStep = d.CoarseThetaStep
-	}
-	if g.CoarseDeltaStep == 0 {
-		g.CoarseDeltaStep = d.CoarseDeltaStep
-	}
-	if g.RefineDeltaStep == 0 {
-		g.RefineDeltaStep = d.RefineDeltaStep
-	}
-	if g.RefineThetaStep == 0 {
-		g.RefineThetaStep = d.RefineThetaStep
-	}
-	if g.TileCells == 0 {
-		g.TileCells = d.TileCells
-	}
-	//lint:ignore floateq zero value means "use the default", an exact sentinel
-	if g.SelectSafety == 0 {
-		g.SelectSafety = d.SelectSafety
-	}
-	//lint:ignore floateq zero value means "use the default", an exact sentinel
-	if g.MaxTileFrac == 0 {
-		g.MaxTileFrac = d.MaxTileFrac
-	}
-	//lint:ignore floateq zero value means "use the default", an exact sentinel
-	if g.DisagreeMarginM == 0 {
-		g.DisagreeMarginM = d.DisagreeMarginM
-	}
-	return g
-}
-
-func (g GateConfig) valid() bool {
-	return g.CoarseStep >= 2 && g.CoarseThetaStep >= 1 && g.CoarseDeltaStep >= 1 &&
-		g.RefineDeltaStep >= 1 && g.RefineThetaStep >= 1 &&
-		g.TileCells >= 4 && g.SelectSafety > 0 && g.SelectSafety <= 1 &&
-		g.MaxTileFrac > 0 && g.MaxTileFrac <= 1 && g.DisagreeMarginM > 0
+// defaultGate is the gated search every engine runs.
+var defaultGate = gateParams{
+	coarseStep:      4,
+	coarseThetaStep: 4,
+	coarseDeltaStep: 16,
+	refineDeltaStep: 4,
+	refineThetaStep: 2,
+	tileCells:       16,
+	selectSafety:    0.8,
+	maxTileFrac:     0.35,
+	disagreeMarginM: 0.5,
 }
 
 // DefaultConfig returns the paper's parameters for the given room.
 func DefaultConfig(room geom.Rect) Config {
 	return Config{
-		Room:               room,
-		CellM:              0.05,
-		ThetaStepDeg:       1.0,
-		DeltaStepM:         0.05,
-		ScoreA:             0.1,
-		ScoreB:             0.05,
-		EntropyWindow:      7,
-		EntropyStride:      4,
-		PeakMinFrac:        0.5,
-		PeakMinSepCells:    4,
-		NormalizePerAnchor: true,
-		Gate:               DefaultGateConfig(),
+		Room:   room,
+		CellM:  0.05,
+		ScoreA: 0.1,
+		ScoreB: 0.05,
 	}
 }
 
@@ -181,6 +133,7 @@ func DefaultConfig(room geom.Rect) Config {
 // allocates only what it returns — the Result and its candidates.
 type Engine struct {
 	cfg     Config
+	gp      gateParams // defaultGate; in-package tests may change it before the first fix
 	anchors []geom.Array
 
 	thetas    []float64 // polar θ grid, radians
@@ -320,26 +273,16 @@ func NewEngine(anchors []geom.Array, cfg Config) (*Engine, error) {
 	if len(anchors) < 2 {
 		return nil, fmt.Errorf("core: need at least 2 anchors, got %d", len(anchors))
 	}
-	if cfg.CellM <= 0 || cfg.ThetaStepDeg <= 0 || cfg.DeltaStepM <= 0 {
+	if cfg.CellM <= 0 {
 		return nil, fmt.Errorf("core: non-positive grid resolution in config")
 	}
 	if cfg.Room.Width() <= 0 || cfg.Room.Height() <= 0 {
 		return nil, fmt.Errorf("core: degenerate room %v", cfg.Room)
 	}
-	if cfg.EntropyWindow < 3 {
-		return nil, fmt.Errorf("core: entropy window %d too small", cfg.EntropyWindow)
-	}
-	if cfg.EntropyStride < 1 {
-		return nil, fmt.Errorf("core: entropy stride %d must be positive", cfg.EntropyStride)
-	}
-	cfg.Gate = cfg.Gate.withDefaults()
-	if !cfg.Gate.valid() {
-		return nil, fmt.Errorf("core: invalid gate config %+v", cfg.Gate)
-	}
-	e := &Engine{cfg: cfg, anchors: anchors}
+	e := &Engine{cfg: cfg, gp: defaultGate, anchors: anchors}
 
 	// θ grid spans the front half-plane of each array.
-	step := geom.Rad(cfg.ThetaStepDeg)
+	step := geom.Rad(thetaStepDeg)
 	for t := -math.Pi / 2; t <= math.Pi/2+1e-9; t += step {
 		e.thetas = append(e.thetas, t)
 	}
@@ -348,7 +291,7 @@ func NewEngine(anchors []geom.Array, cfg Config) (*Engine, error) {
 	// triangle inequality: |d_i − d_0| ≤ |anchor_i − anchor_0| ≤ diag,
 	// and candidate points inside the room keep |Δ| under the diagonal).
 	diag := math.Hypot(cfg.Room.Width(), cfg.Room.Height())
-	for d := -diag; d <= diag+1e-9; d += cfg.DeltaStepM {
+	for d := -diag; d <= diag+1e-9; d += deltaStepM {
 		e.deltas = append(e.deltas, d)
 	}
 

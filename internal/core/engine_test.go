@@ -35,13 +35,8 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(anchors, bad); err == nil {
 		t.Error("zero cell size should be rejected")
 	}
-	bad2 := DefaultConfig(room)
-	bad2.EntropyWindow = 1
+	bad2 := DefaultConfig(geom.NewRect(geom.Pt(0, 0), geom.Pt(0, 5)))
 	if _, err := NewEngine(anchors, bad2); err == nil {
-		t.Error("tiny entropy window should be rejected")
-	}
-	bad3 := DefaultConfig(geom.NewRect(geom.Pt(0, 0), geom.Pt(0, 5)))
-	if _, err := NewEngine(anchors, bad3); err == nil {
 		t.Error("degenerate room should be rejected")
 	}
 	e, err := NewEngine(anchors, DefaultConfig(room))

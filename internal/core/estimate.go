@@ -195,9 +195,7 @@ func (e *Engine) LocateAoASoft(s *csi.Snapshot) (*Result, error) {
 	for _, i := range activeAnchors(s) {
 		spec := e.angleSpectrum(s.Freqs, s.Tag, s.Have, i)
 		xy := e.angleSpectrumToXY(spec, i, 0)
-		if e.cfg.NormalizePerAnchor {
-			xy.Normalize()
-		}
+		xy.Normalize()
 		combined.AddGrid(xy)
 	}
 	_, ix, iy := combined.Max()

@@ -12,10 +12,10 @@ import (
 // the likelihood surface is sharply peaked — evaluating the whole grid
 // is wasted work. LocateOpts runs a two-stage search instead:
 //
-//  1. A coarse pass evaluates every CoarseStep-th XY cell against a
-//     (θ/CoarseThetaStep, Δ/CoarseDeltaStep)-decimated polar grid using
+//  1. A coarse pass evaluates every coarseStep-th XY cell against a
+//     (θ/coarseThetaStep, Δ/coarseDeltaStep)-decimated polar grid using
 //     float32 SoA kernels (polar32.go). The coarse surface selects
-//     refinement tiles (any coarse cell ≥ SelectSafety·PeakMinFrac of
+//     refinement tiles (any coarse cell ≥ selectSafety·peakMinFrac of
 //     the coarse maximum), unioned with every tile the prior ellipse
 //     touches, dilated by one tile ring so peak neighborhoods and the
 //     entropy window stay covered.
@@ -166,9 +166,9 @@ func (g *GatePolicy) Observe(res *Result) {
 // of the gated search for one reference anchor. Immutable after
 // construction.
 type gatedTables struct {
-	cnx, cny int // coarse XY grid dims (every CoarseStep-th cell)
+	cnx, cny int // coarse XY grid dims (every coarseStep-th cell)
 	cT, cD   int // decimated polar dims
-	tnx, tny int // refinement tiling dims (TileCells edge)
+	tnx, tny int // refinement tiling dims (tileCells edge)
 
 	coarse []coarseProj  // per anchor
 	tiles  []anchorTiles // per anchor
@@ -180,7 +180,7 @@ type gatedTables struct {
 // linear interpolation between adjacent decimated Δ columns (src and
 // src+1, weighted w). The Δ magnitude profile is smooth (see
 // polar32.go), so interpolating Δ lets the coarse pass halve its Δ
-// sample count without widening the undershoot that SelectSafety must
+// sample count without widening the undershoot that selectSafety must
 // absorb; θ stays nearest-row, which dominates the residual undershoot.
 type coarseProj struct {
 	xy  []int32   // coarse XY index (ciy*cnx + cix)
@@ -232,8 +232,8 @@ func (e *Engine) gatedFor(ref int) *gatedTables {
 // deployment geometry and regroups the full-resolution projection cells
 // by tile.
 func (e *Engine) buildGatedFor(ref int) *gatedTables {
-	g := &e.cfg.Gate
-	cs, ts, ds, tc := g.CoarseStep, g.CoarseThetaStep, g.CoarseDeltaStep, g.TileCells
+	g := &e.gp
+	cs, ts, ds, tc := g.coarseStep, g.coarseThetaStep, g.coarseDeltaStep, g.tileCells
 	T, D := len(e.thetas), len(e.deltas)
 	gt := &gatedTables{
 		cnx: (e.nx + cs - 1) / cs, cny: (e.ny + cs - 1) / cs,
@@ -363,7 +363,7 @@ func (e *Engine) buildGatedFor(ref int) *gatedTables {
 
 // tileOf maps a full-resolution XY cell index to its refinement tile.
 func (e *Engine) tileOf(xy, tnx int) int {
-	tc := e.cfg.Gate.TileCells
+	tc := e.gp.tileCells
 	return (xy / e.nx / tc * tnx) + (xy % e.nx / tc)
 }
 
@@ -374,7 +374,7 @@ func (e *Engine) tileOf(xy, tnx int) int {
 // tiles to refine); otherwise it returns the refusal reason and the
 // caller falls back to the full grid.
 func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior *Prior) (string, int) {
-	g := &e.cfg.Gate
+	g := &e.gp
 	I := a.NumAnchors()
 
 	// ---- Stage 1: coarse decimated pass. ----
@@ -404,7 +404,7 @@ func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior 
 		}
 		r.cmax[i] = float64(m)
 		inv := float32(1)
-		if e.cfg.NormalizePerAnchor && m > 0 {
+		if m > 0 {
 			inv = 1 / m
 		}
 		for c, xy := range cp.xy {
@@ -421,15 +421,15 @@ func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior 
 	if argc < 0 || !(cmax > 0) {
 		return FallbackNoPeaks, 0
 	}
-	coarseEst := e.CellCenter(argc%gt.cnx*g.CoarseStep, argc/gt.cnx*g.CoarseStep)
-	if !prior.Contains(coarseEst, g.DisagreeMarginM) {
+	coarseEst := e.CellCenter(argc%gt.cnx*g.coarseStep, argc/gt.cnx*g.coarseStep)
+	if !prior.Contains(coarseEst, g.disagreeMarginM) {
 		return FallbackDisagree, 0
 	}
 
 	// ---- Tile selection: prior-compatible coarse peaks, one-ring dilation. ----
 	// A tile is value-selected when it contains a coarse local maximum
-	// at ≥ SelectSafety·PeakMinFrac of the coarse global maximum — the
-	// decimated mirror of FindPeaks' acceptance rule, with SelectSafety
+	// at ≥ selectSafety·peakMinFrac of the coarse global maximum — the
+	// decimated mirror of FindPeaks' acceptance rule, with selectSafety
 	// absorbing decimation undershoot — AND that maximum is compatible
 	// with the prior (inside the margin-grown ellipse). This is where
 	// the tracker actually prunes work: the multipath surface carries
@@ -441,14 +441,14 @@ func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior 
 	nt := gt.tnx * gt.tny
 	r.sel = growBools(r.sel, nt)
 	clear(r.sel)
-	thr := float32(g.SelectSafety*e.cfg.PeakMinFrac) * cmax
+	thr := float32(g.selectSafety*peakMinFrac) * cmax
 	nSel := 0
 	for c, v := range r.ccomb {
 		if v < thr {
 			continue
 		}
 		cix, ciy := c%gt.cnx, c/gt.cnx
-		if !prior.Contains(e.CellCenter(cix*g.CoarseStep, ciy*g.CoarseStep), g.DisagreeMarginM) {
+		if !prior.Contains(e.CellCenter(cix*g.coarseStep, ciy*g.coarseStep), g.disagreeMarginM) {
 			continue
 		}
 		localMax := true
@@ -467,18 +467,18 @@ func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior 
 		if !localMax {
 			continue
 		}
-		ti := e.tileOf((ciy*g.CoarseStep)*e.nx+cix*g.CoarseStep, gt.tnx)
+		ti := e.tileOf((ciy*g.coarseStep)*e.nx+cix*g.coarseStep, gt.tnx)
 		if !r.sel[ti] {
 			r.sel[ti] = true
 			nSel++
 		}
 	}
-	if float64(nSel) > g.MaxTileFrac*float64(nt) {
+	if float64(nSel) > g.maxTileFrac*float64(nt) {
 		return FallbackLowConf, 0
 	}
 	// Peak-bearing tiles get a one-tile ring: it absorbs the coarse→full
-	// argmax shift and keeps the Eq. 18 entropy window (±EntropyWindow/2
-	// · EntropyStride cells < TileCells) fully painted around any
+	// argmax shift and keeps the Eq. 18 entropy window (±entropyWindow/2
+	// · entropyStride cells < tileCells) fully painted around any
 	// candidate.
 	r.tiles = growBools(r.tiles, nt)
 	clear(r.tiles)
@@ -506,10 +506,10 @@ func (e *Engine) gate(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, prior 
 	// neighborhood painted): tile-vs-ellipse intersection is
 	// approximated conservatively by growing the ellipse by the tile
 	// half-diagonal.
-	halfDiag := float64(g.TileCells) * e.cfg.CellM * math.Sqrt2 / 2
+	halfDiag := float64(g.tileCells) * e.cfg.CellM * math.Sqrt2 / 2
 	for tiy := 0; tiy < gt.tny; tiy++ {
 		for tix := 0; tix < gt.tnx; tix++ {
-			center := e.CellCenter(tix*g.TileCells+g.TileCells/2, tiy*g.TileCells+g.TileCells/2)
+			center := e.CellCenter(tix*g.tileCells+g.tileCells/2, tiy*g.tileCells+g.tileCells/2)
 			ti := tiy*gt.tnx + tix
 			if !r.tiles[ti] && prior.Contains(center, halfDiag) {
 				r.tiles[ti] = true
@@ -608,7 +608,7 @@ func (e *Engine) refine(r *fixRun, ps *planeSet, gt *gatedTables, a *Alpha, cmax
 			denom = cmax[i]
 		}
 		inv := 1.0
-		if e.cfg.NormalizePerAnchor && denom > 0 {
+		if denom > 0 {
 			inv = 1 / denom
 		}
 		n = 0

@@ -128,7 +128,7 @@ func TestGatedTeleportFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prior stuck at the opposite corner, far outside DisagreeMarginM.
+	// Prior stuck at the opposite corner, far outside disagreeMarginM.
 	res, err := e.LocateOpts(snap, LocateOptions{Prior: tightPrior(geom.Pt(-2.0, -2.5))})
 	if err != nil {
 		t.Fatal(err)
@@ -145,18 +145,14 @@ func TestGatedTeleportFallsBack(t *testing.T) {
 }
 
 // TestGatedLowConfFallsBack wires the flat-surface trigger: with an
-// absurdly small MaxTileFrac every selection is "too many tiles".
+// absurdly small maxTileFrac every selection is "too many tiles".
 func TestGatedLowConfFallsBack(t *testing.T) {
 	d, err := testbed.Paper(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(d.Env.Room)
-	cfg.Gate.MaxTileFrac = 1e-9
-	e, err := NewEngine(d.Anchors, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := paperEngine(t, d)
+	e.gp.maxTileFrac = 1e-9
 	pt := geom.Pt(-0.5, 0.9)
 	snap := d.Sounding(pt)
 	full, err := e.LocateOpts(snap, LocateOptions{})
@@ -258,7 +254,7 @@ func fullPlaneScratch(e *Engine, a *Alpha) (polar []float32, rowLo, rowHi []int3
 // TestPolarFill32Golden compares the float32 kernel against the float64
 // reference kernel over the full polar plane: relative error (against
 // the plane maximum) must stay within float32 accumulation noise.
-// RefineDeltaStep is pinned to 1 so every column is evaluated exactly;
+// refineDeltaStep is pinned to 1 so every column is evaluated exactly;
 // the default stride's interpolation error is bounded separately by
 // TestPolarFill32InterpError.
 func TestPolarFill32Golden(t *testing.T) {
@@ -266,13 +262,9 @@ func TestPolarFill32Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(d.Env.Room)
-	cfg.Gate.RefineDeltaStep = 1
-	cfg.Gate.RefineThetaStep = 1
-	e, err := NewEngine(d.Anchors, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := paperEngine(t, d)
+	e.gp.refineDeltaStep = 1
+	e.gp.refineThetaStep = 1
 	snap := d.Sounding(geom.Pt(0.9, -0.4))
 	a, err := CorrectRef(snap, 0)
 	if err != nil {
@@ -307,7 +299,7 @@ func TestPolarFill32Golden(t *testing.T) {
 }
 
 // TestPolarFill32InterpError bounds the Δ-interpolation error of the
-// default RefineDeltaStep: at cells above 30% of the plane maximum —
+// default refineDeltaStep: at cells above 30% of the plane maximum —
 // the ones that shape candidate peaks — the interpolated plane must
 // stay within 2% of the exact float64 reference kernel. The magnitude
 // profile is band-limited along Δ by the sounded channel spread, which
@@ -319,9 +311,6 @@ func TestPolarFill32InterpError(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := paperEngine(t, d)
-	if e.cfg.Gate.RefineDeltaStep < 2 && e.cfg.Gate.RefineThetaStep < 2 {
-		t.Skip("interpolation disabled by default")
-	}
 	snap := d.Sounding(geom.Pt(-0.8, 1.1))
 	a, err := CorrectRef(snap, 0)
 	if err != nil {
@@ -373,7 +362,7 @@ func TestCoarsePolarFill32Golden(t *testing.T) {
 	}
 	ps := e.planesFor(a.Freqs)
 	gt := e.gatedFor(0)
-	g := e.Config().Gate
+	g := e.gp
 	D := len(e.deltas)
 	for anchor := 0; anchor < a.NumAnchors(); anchor++ {
 		golden := e.referencePolarLikelihood(a, anchor)
@@ -391,7 +380,7 @@ func TestCoarsePolarFill32Golden(t *testing.T) {
 		worst := 0.0
 		for ct := 0; ct < gt.cT; ct++ {
 			for cd := int(cp.dLo[ct]); cd < int(cp.dHi[ct]); cd++ {
-				want := golden.Data[(ct*g.CoarseThetaStep)*D+cd*g.CoarseDeltaStep]
+				want := golden.Data[(ct*g.coarseThetaStep)*D+cd*g.coarseDeltaStep]
 				if rel := math.Abs(float64(cpolar[ct*gt.cD+cd])-want) / max; rel > worst {
 					worst = rel
 				}

@@ -195,8 +195,8 @@ type planeSet struct {
 	stepP int
 
 	// Float32 lanes of the base distance steering for the row kernel
-	// (polar32.go): the refinement sweep's stride-RefineDeltaStep lanes,
-	// one per phase, and the coarse pass's stride-CoarseDeltaStep,
+	// (polar32.go): the refinement sweep's stride-refineDeltaStep lanes,
+	// one per phase, and the coarse pass's stride-coarseDeltaStep,
 	// phase-0 lane. Every Δ run either pass evaluates is contiguous in
 	// one of them, at half the memory traffic of the float64 planes.
 	fine, coarse deltaLanes
@@ -284,9 +284,9 @@ func (e *Engine) buildPlanes(freqs []float64) *planeSet {
 			ps.baseIm[row+d] = s
 		}
 	}
-	S := e.cfg.Gate.RefineDeltaStep
+	S := e.gp.refineDeltaStep
 	ps.fine = newDeltaLanes(ps.baseRe, ps.baseIm, K, D, S, S)
-	ps.coarse = newDeltaLanes(ps.baseRe, ps.baseIm, K, D, e.cfg.Gate.CoarseDeltaStep, 1)
+	ps.coarse = newDeltaLanes(ps.baseRe, ps.baseIm, K, D, e.gp.coarseDeltaStep, 1)
 	for i := range e.anchors {
 		ph := make([]complex128, K)
 		for k := 0; k < K; k++ {

@@ -31,7 +31,7 @@ import (
 //     (correlation scale of meters against a few-centimeter grid), and
 //     along θ a J-element array's beam pattern has only ~J degrees of
 //     freedom across the aperture. polarFill32 therefore evaluates every
-//     RefineDeltaStep-th column of every RefineThetaStep-th row exactly
+//     refineDeltaStep-th column of every refineThetaStep-th row exactly
 //     and fills the rest by linear interpolation
 //     (TestPolarFill32InterpError bounds the error at peak cells).
 //
@@ -217,14 +217,14 @@ func beamSum(c []complex128, pk []complex128, J int) complex128 {
 
 // coarsePolarFill32 evaluates one anchor's polar likelihood at the
 // decimated (θ, Δ) samples of the coarse pass: row ct is the full-grid
-// row ct·CoarseThetaStep, column cd the full-grid column
-// cd·CoarseDeltaStep, a contiguous run of the planeSet's coarse lanes.
+// row ct·coarseThetaStep, column cd the full-grid column
+// cd·coarseDeltaStep, a contiguous run of the planeSet's coarse lanes.
 // Only the per-row spans of cp are computed; cpolar must be cT·cD long,
 // rs is grown to fit and avp holds this anchor's bfCoeffs. It returns
 // the complex multiply-accumulates issued.
 func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, anchor, cT, cD int, cpolar []float32, rs *rowScratch, avp []complex128) uint64 {
 	K, J := a.NumBands(), a.NumAntennas()
-	ts := e.cfg.Gate.CoarseThetaStep
+	ts := e.gp.coarseThetaStep
 	pows := ps.stepPows[e.spacingIdx[anchor]]
 	P := ps.stepP
 	l := &ps.coarse
@@ -256,17 +256,17 @@ func (e *Engine) coarsePolarFill32(ps *planeSet, cp *coarseProj, a *Alpha, ancho
 // grown to fit and avp holds this anchor's bfCoeffs. It returns the
 // complex multiply-accumulates issued.
 //
-// Sampling: only every RefineThetaStep-th row (plus the last) is
+// Sampling: only every refineThetaStep-th row (plus the last) is
 // evaluated, over the union of its neighbors' spans so the skipped rows
 // can be interpolated from fully-painted sources; within a row the
-// sweep evaluates every RefineDeltaStep-th column (plus the final one).
+// sweep evaluates every refineDeltaStep-th column (plus the final one).
 // Both strides at 1 recover the exact kernel, which is what the golden
 // test pins against the float64 reference kernel.
 func (e *Engine) polarFill32(ps *planeSet, a *Alpha, anchor int, polar []float32, rowLo, rowHi []int32, rs *rowScratch, avp []complex128) uint64 {
 	D, K := len(e.deltas), a.NumBands()
 	J := a.NumAntennas()
-	S := e.cfg.Gate.RefineDeltaStep
-	RT := e.cfg.Gate.RefineThetaStep
+	S := e.gp.refineDeltaStep
+	RT := e.gp.refineThetaStep
 	T := len(rowLo)
 	pows := ps.stepPows[e.spacingIdx[anchor]]
 	P := ps.stepP

@@ -35,9 +35,7 @@ func (e *Engine) LikelihoodReference(a *Alpha) (combined *dsp.Grid, perAnchor []
 			defer wg.Done()
 			polar := e.referencePolarLikelihood(a, i)
 			xy := e.referencePolarToXY(polar, i, a.Ref)
-			if e.cfg.NormalizePerAnchor {
-				xy.Normalize()
-			}
+			xy.Normalize()
 			perAnchor[i] = xy
 		}(i)
 	}

@@ -32,7 +32,7 @@ type Candidate struct {
 // With every tile selected the rect is the whole grid and every
 // candidate is interior.
 func (e *Engine) pick(r *fixRun, gt *gatedTables, sel func([]Candidate) (Candidate, bool)) (*Result, bool) {
-	tc := e.cfg.Gate.TileCells
+	tc := e.gp.tileCells
 	minTx, minTy, maxTx, maxTy := gt.tnx, gt.tny, -1, -1
 	for ti, on := range r.tiles {
 		if !on {
@@ -109,8 +109,8 @@ func (e *Engine) candidatesIn(r *fixRun, grid *dsp.Grid, x0, y0, x1, y1 int) []C
 			}
 		}
 	}
-	r.peaks = grid.FindPeaksRectInto(r.peaks, e.cfg.PeakMinFrac, e.cfg.PeakMinSepCells, gmax, x0, y0, x1, y1)
-	r.window = growF64(r.window, e.cfg.EntropyWindow*e.cfg.EntropyWindow)
+	r.peaks = grid.FindPeaksRectInto(r.peaks, peakMinFrac, peakMinSepCells, gmax, x0, y0, x1, y1)
+	r.window = growF64(r.window, entropyWindow*entropyWindow)
 	out := make([]Candidate, 0, len(r.peaks))
 	for _, p := range r.peaks {
 		loc := e.GridPoint(p)
@@ -118,7 +118,7 @@ func (e *Engine) candidatesIn(r *fixRun, grid *dsp.Grid, x0, y0, x1, y1 int) []C
 		for _, a := range e.anchors {
 			sumDist += loc.Dist(a.Center())
 		}
-		h := grid.PeakNegentropyScratch(p.IX, p.IY, e.cfg.EntropyWindow, e.cfg.EntropyStride, r.window)
+		h := grid.PeakNegentropyScratch(p.IX, p.IY, entropyWindow, entropyStride, r.window)
 		score := p.Value * math.Exp(e.cfg.ScoreB*h-e.cfg.ScoreA*sumDist)
 		out = append(out, Candidate{
 			Loc:       loc,

@@ -127,9 +127,7 @@ func TestLikelihoodPerAnchorNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(d.Env.Room)
-	cfg.NormalizePerAnchor = true
-	e, err := NewEngine(d.Anchors, cfg)
+	e, err := NewEngine(d.Anchors, DefaultConfig(d.Env.Room))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,34 +60,31 @@ type Dataset struct {
 
 // AcquireOptions configures Acquire.
 type AcquireOptions struct {
-	Positions int     // number of tag positions (default 300)
-	MinSep    float64 // minimum spacing between positions (default 0.04 m)
-	Margin    float64 // wall margin (default 0.25 m)
+	Positions int // number of tag positions (at least 1)
 	Seed      uint64
 	Workers   int                   // parallel acquisition workers (default NumCPU)
 	Progress  func(done, total int) // optional progress callback
 }
+
+// Acquired positions keep acquireMinSepM apart and acquireMarginM off the
+// walls.
+const (
+	acquireMinSepM float64 = 0.04
+	acquireMarginM float64 = 0.25
+)
 
 // Acquire samples positions and measures a snapshot at each, observing
 // ground truth through the VICON oracle. Acquisition parallelizes over
 // positions; each position gets an independent deployment clone seeded
 // deterministically so results do not depend on worker scheduling.
 func Acquire(d *testbed.Deployment, opts AcquireOptions) (*Dataset, error) {
-	if opts.Positions <= 0 {
-		opts.Positions = 300
-	}
-	//lint:ignore floateq unset option sentinel is exactly zero
-	if opts.MinSep == 0 {
-		opts.MinSep = 0.04
-	}
-	//lint:ignore floateq unset option sentinel is exactly zero
-	if opts.Margin == 0 {
-		opts.Margin = 0.25
+	if opts.Positions < 1 {
+		return nil, fmt.Errorf("eval: %d positions, want at least 1", opts.Positions)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	positions := SamplePositions(d.Env.Room, opts.Positions, opts.MinSep, opts.Margin, opts.Seed)
+	positions := SamplePositions(d.Env.Room, opts.Positions, acquireMinSepM, acquireMarginM, opts.Seed)
 	oracle := vicon.New(vicon.DefaultJitterM, opts.Seed^0xF00D)
 
 	ds := &Dataset{

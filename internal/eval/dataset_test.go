@@ -41,6 +41,21 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAcquireRejectsNoPositions: a non-positive count is an error, not
+// a silent default-sized campaign.
+func TestAcquireRejectsNoPositions(t *testing.T) {
+	dep, err := testbed.Paper(63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -3} {
+		ds, err := Acquire(dep, AcquireOptions{Positions: n, Seed: 63})
+		if err == nil {
+			t.Errorf("Positions %d: acquired %d snapshots, want an error", n, ds.Len())
+		}
+	}
+}
+
 func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")

@@ -36,29 +36,39 @@ func (r PerfResult) String() string {
 // runtime.MemStats deltas. A warm-up pass populates the engine's plane
 // cache and scratch pools first, so the figures reflect steady state.
 func (s *Suite) MeasureFixes(fixes, workers int) (PerfResult, error) {
-	if len(s.DS.Snapshots) == 0 {
-		return PerfResult{}, fmt.Errorf("eval: empty dataset")
-	}
-	if fixes < 1 {
-		fixes = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	warm := 2 * workers
-	if warm > fixes {
-		warm = fixes
-	}
-	if err := s.runFixes(warm, workers); err != nil {
+	fixes, workers, err := s.perfCounts(fixes, workers)
+	if err != nil {
 		return PerfResult{}, err
 	}
+	fix := func(_, i int) error {
+		_, err := s.Eng.LocateOpts(s.DS.Snapshots[i%len(s.DS.Snapshots)], core.LocateOptions{})
+		return err
+	}
+	if err := runFixes(min(2*workers, fixes), workers, fix); err != nil {
+		return PerfResult{}, err
+	}
+	return timeFixes(fixes, workers, fix)
+}
 
+// perfCounts checks a throughput measurement's inputs and clamps its fix
+// and worker counts to at least 1.
+func (s *Suite) perfCounts(fixes, workers int) (int, int, error) {
+	if len(s.DS.Snapshots) == 0 {
+		return 0, 0, fmt.Errorf("eval: empty dataset")
+	}
+	return max(fixes, 1), max(workers, 1), nil
+}
+
+// timeFixes is the timed window of a throughput measurement: it runs
+// runFixes after a GC and reports wall time per fix and the allocation
+// rates from runtime.MemStats deltas.
+func timeFixes(fixes, workers int, fix func(w, i int) error) (PerfResult, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	//lint:ignore clockcheck throughput is measured against the real monotonic clock
 	start := time.Now()
-	if err := s.runFixes(fixes, workers); err != nil {
+	if err := runFixes(fixes, workers, fix); err != nil {
 		return PerfResult{}, err
 	}
 	//lint:ignore clockcheck see above
@@ -77,36 +87,35 @@ func (s *Suite) MeasureFixes(fixes, workers int) (PerfResult, error) {
 	}, nil
 }
 
-// runFixes localizes `fixes` dataset snapshots (round-robin) on `workers`
-// goroutines sharing the suite's engine.
-func (s *Suite) runFixes(fixes, workers int) error {
+// runFixes calls fix(w, i) for every fix index i in [0, fixes) on
+// `workers` goroutines, w being the calling worker's index, and returns
+// the first error; a worker that hits one stops.
+func runFixes(fixes, workers int, fix func(w, i int) error) error {
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		fail error
 	)
-	work := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= fixes {
-				return
-			}
-			snap := s.DS.Snapshots[i%len(s.DS.Snapshots)]
-			if _, err := s.Eng.LocateOpts(snap, core.LocateOptions{}); err != nil {
-				mu.Lock()
-				if fail == nil {
-					fail = err
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go work()
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= fixes {
+					return
+				}
+				if err := fix(w, i); err != nil {
+					mu.Lock()
+					if fail == nil {
+						fail = err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	return fail

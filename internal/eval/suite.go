@@ -48,7 +48,7 @@ type Suite struct {
 // SuiteOptions configures NewSuite.
 type SuiteOptions struct {
 	Seed      uint64
-	Positions int // dataset size (paper: 1700; default 300 for quick runs)
+	Positions int // dataset size (paper: 1700)
 	Workers   int
 	Progress  func(done, total int)
 	// Deployment overrides the default paper testbed (nil → testbed.Paper).

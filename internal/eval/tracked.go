@@ -3,9 +3,6 @@ package eval
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bloc/internal/core"
@@ -81,14 +78,9 @@ func (tt *trackedTag) fix() error {
 // caches before the timed window, and the gate counters are reported as
 // deltas over that window only.
 func (s *Suite) MeasureTracked(fixes, workers int) (TrackedResult, error) {
-	if len(s.DS.Snapshots) == 0 {
-		return TrackedResult{}, fmt.Errorf("eval: empty dataset")
-	}
-	if fixes < 1 {
-		fixes = 1
-	}
-	if workers < 1 {
-		workers = 1
+	fixes, workers, err := s.perfCounts(fixes, workers)
+	if err != nil {
+		return TrackedResult{}, err
 	}
 	tags := make([]*trackedTag, workers)
 	for w := range tags {
@@ -114,54 +106,14 @@ func (s *Suite) MeasureTracked(fixes, workers int) (TrackedResult, error) {
 		}
 	}
 
-	runtime.GC()
 	before := s.Eng.Stats()
-	var beforeMem, afterMem runtime.MemStats
-	runtime.ReadMemStats(&beforeMem)
-	//lint:ignore clockcheck throughput is measured against the real monotonic clock
-	start := time.Now()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		tt := tags[w]
-		go func() {
-			defer wg.Done()
-			for int(next.Add(1)) <= fixes {
-				if err := tt.fix(); err != nil {
-					mu.Lock()
-					if fail == nil {
-						fail = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	//lint:ignore clockcheck see above
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&afterMem)
-	if fail != nil {
-		return TrackedResult{}, fail
+	perf, err := timeFixes(fixes, workers, func(w, _ int) error { return tags[w].fix() })
+	if err != nil {
+		return TrackedResult{}, err
 	}
 	after := s.Eng.Stats()
 
-	n := float64(fixes)
-	res := TrackedResult{PerfResult: PerfResult{
-		Workers:      workers,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Fixes:        fixes,
-		NsPerFix:     float64(elapsed.Nanoseconds()) / n,
-		BytesPerFix:  float64(afterMem.TotalAlloc-beforeMem.TotalAlloc) / n,
-		AllocsPerFix: float64(afterMem.Mallocs-beforeMem.Mallocs) / n,
-		FixesPerSec:  n / elapsed.Seconds(),
-	}}
+	res := TrackedResult{PerfResult: perf}
 	gated := after.GatedFixes - before.GatedFixes
 	total := after.Fixes - before.Fixes
 	fallbacks := (after.FallbackDisagree - before.FallbackDisagree) +

@@ -127,45 +127,27 @@ func Signature(snap *csi.Snapshot) []float64 {
 
 func cmplxAbs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
 
-// LookupOptions tunes a KNN lookup. The zero value selects the
-// documented defaults.
-type LookupOptions struct {
-	// K is how many nearest reference points are blended (default 4).
-	K int
-	// MinAnchors is the minimum number of anchors that must be finite in
-	// BOTH the live signature and a reference point for that point to be
-	// comparable; lookups observing fewer anchors fail (default 2).
-	MinAnchors int
-}
-
-func (o LookupOptions) withDefaults() LookupOptions {
-	if o.K <= 0 {
-		o.K = 4
-	}
-	if o.MinAnchors <= 0 {
-		o.MinAnchors = 2
-	}
-	return o
-}
+// A KNN lookup blends the lookupK nearest reference points. A reference
+// point is comparable only when at least lookupMinAnchors anchors are
+// finite in BOTH the live signature and the point; lookups observing
+// fewer anchors fail.
+const (
+	lookupK          = 4
+	lookupMinAnchors = 2
+)
 
 // ErrNoMatch is returned when the live signature overlaps too few
 // anchors with every reference point — the fingerprint rung cannot
 // serve this round and the caller should fall to the next rung.
 var ErrNoMatch = errors.New("fingerprint: signature overlaps too few anchors with the survey")
 
-// Locate runs a weighted-KNN lookup with the default options.
+// Locate runs a weighted-KNN lookup of a live signature against the
+// reference grid: reference points are ranked by RMS dB distance over
+// the anchors both sides observed (partial signatures compare fairly
+// because the distance is normalized per overlapping anchor), and the
+// lookupK nearest positions are blended with inverse-distance weights.
+// Ties rank by grid order, so equal inputs return bit-equal fixes.
 func (db *DB) Locate(sig []float64) (geom.Point, error) {
-	return db.LocateOpts(sig, LookupOptions{})
-}
-
-// LocateOpts matches a live signature against the reference grid:
-// reference points are ranked by RMS dB distance over the anchors both
-// sides observed (partial signatures compare fairly because the
-// distance is normalized per overlapping anchor), and the K nearest
-// positions are blended with inverse-distance weights. Ties rank by
-// grid order, so equal inputs return bit-equal fixes.
-func (db *DB) LocateOpts(sig []float64, opts LookupOptions) (geom.Point, error) {
-	opts = opts.withDefaults()
 	if len(sig) != db.Anchors {
 		return geom.Point{}, fmt.Errorf("fingerprint: signature width %d, survey has %d anchors", len(sig), db.Anchors)
 	}
@@ -185,7 +167,7 @@ func (db *DB) LocateOpts(sig []float64, opts LookupOptions) (geom.Point, error) 
 			sumSq += d * d
 			overlap++
 		}
-		if overlap < opts.MinAnchors {
+		if overlap < lookupMinAnchors {
 			continue
 		}
 		matches = append(matches, match{idx: idx, dist: math.Sqrt(sumSq / float64(overlap))})
@@ -200,10 +182,7 @@ func (db *DB) LocateOpts(sig []float64, opts LookupOptions) (geom.Point, error) 
 		}
 		return matches[i].idx < matches[j].idx
 	})
-	k := opts.K
-	if k > len(matches) {
-		k = len(matches)
-	}
+	k := min(lookupK, len(matches))
 	// Inverse-distance weights with a floor: an exact signature match
 	// must not divide by zero, and a small floor keeps the blend from
 	// collapsing onto one grid point under measurement noise.
@@ -316,9 +295,6 @@ func median(xs []float64) float64 {
 type SurveyOptions struct {
 	// StepM is the reference grid pitch in meters (default 0.5).
 	StepM float64
-	// Margin insets the grid from the walls (default 0.25 m) — anchors
-	// sit on walls and a reference point inside one is meaningless.
-	Margin float64
 	// Samples is how many independent soundings are medianed per
 	// reference point (default 3).
 	Samples int
@@ -328,18 +304,15 @@ func (o SurveyOptions) withDefaults() SurveyOptions {
 	if o.StepM <= 0 {
 		o.StepM = 0.5
 	}
-	//lint:ignore floateq unset option sentinel is exactly zero
-	if o.Margin == 0 {
-		o.Margin = 0.25
-	}
-	if o.Margin < 0 {
-		o.Margin = 0 // negative margin means "survey up to the walls"
-	}
 	if o.Samples <= 0 {
 		o.Samples = 3
 	}
 	return o
 }
+
+// surveyMarginM insets the survey grid from the walls: anchors sit on
+// walls and a reference point inside one is meaningless.
+const surveyMarginM float64 = 0.25
 
 // Survey builds a fingerprint DB by walking a reference grid over the
 // room and recording the median signature of several soundings at each
@@ -352,9 +325,9 @@ func Survey(room geom.Rect, anchors int, sample func(point, rep int, p geom.Poin
 		return nil, fmt.Errorf("fingerprint: %d anchors outside [1,%d]", anchors, MaxAnchors)
 	}
 	o := opts.withDefaults()
-	inner := room.Inset(o.Margin)
+	inner := room.Inset(surveyMarginM)
 	if !(inner.Width() > 0 && inner.Height() > 0) {
-		return nil, fmt.Errorf("fingerprint: margin %.2f m leaves no surveyable area in %v", o.Margin, room)
+		return nil, fmt.Errorf("fingerprint: margin %.2f m leaves no surveyable area in %v", surveyMarginM, room)
 	}
 	db := &DB{Room: room, Anchors: anchors, StepM: o.StepM}
 	idx := 0

@@ -18,7 +18,7 @@ import (
 // rung of the ladder — gated CSI, full CSI, fingerprint, centroid — and
 // the drill asserts each rung engages in order, with the tier counters
 // matching the injected schedule exactly and the hysteresis holding
-// promotions back for TierPromoteRounds.
+// promotions back for promoteAfter rounds.
 
 // tierRecorder collects every delivered fix's RoundInfo in order.
 type tierRecorder struct {

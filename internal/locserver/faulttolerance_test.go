@@ -286,10 +286,12 @@ func TestHeartbeatPrunesDeadConnection(t *testing.T) {
 	const seed = 74
 	srv, daemons := startTestbedWith(t, seed, func(c *Config) {
 		c.HeartbeatInterval = 50 * time.Millisecond
-		c.HeartbeatMisses = 2
 	}, func(RoundInfo, *csi.Snapshot) (geom.Point, error) {
 		return geom.Pt(0, 0), nil
 	})
+	srv.mu.Lock()
+	srv.hbMisses = 2
+	srv.mu.Unlock()
 	// A raw client that completes its hello but never echoes heartbeats.
 	dep, _ := testbed.Paper(seed)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -359,7 +361,6 @@ func TestSoakUnderFaults(t *testing.T) {
 		MinAnchors:        3,
 		MinBands:          6,
 		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatMisses:   5,
 		Logger:            quietLogger(),
 		OnSnapshot: func(info RoundInfo, snap *csi.Snapshot) (geom.Point, error) {
 			res, err := eng.LocateOpts(snap, core.LocateOptions{Ref: info.Ref})
@@ -372,6 +373,11 @@ func TestSoakUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 5 misses, not the default 3: the soak keeps a margin against
+	// heartbeat echoes lost to the injected frame loss.
+	srv.mu.Lock()
+	srv.hbMisses = 5
+	srv.mu.Unlock()
 
 	// Every daemon dials through a fault-injecting wrapper: 5% of frames
 	// (CSI rows, hellos, heartbeat echoes alike) vanish silently.

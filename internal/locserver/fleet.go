@@ -255,7 +255,7 @@ func (f *Fleet) restartCell(c *cell, where string) bool {
 	backoff := c.sup.backoffLocked()
 	cooldown := time.Duration(0)
 	if st == cellQuarantined {
-		cooldown = c.sup.cfg.QuarantineCooldown
+		cooldown = quarantineCooldown
 	}
 	c.mu.Unlock()
 	f.log.Warn("cell crashed, supervisor restarting it",

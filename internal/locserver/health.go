@@ -19,12 +19,12 @@ import (
 //
 // The state machine is hysteretic so a flaky anchor cannot flap:
 //
-//	healthy ──score < EnterScore──▶ quarantined
+//	healthy ──score < enterScore──▶ quarantined
 //	quarantined ──jittered cooldown elapsed──▶ probation
-//	probation ──ProbationRounds clean AND score ≥ ExitScore──▶ healthy
+//	probation ──probationRounds clean AND score ≥ exitScore──▶ healthy
 //	probation ──any rejected row──▶ quarantined (fresh cooldown draw)
 //
-// EnterScore < ExitScore is the hysteresis band: an anchor hovering
+// enterScore < exitScore is the hysteresis band: an anchor hovering
 // between the two thresholds stays wherever it already is. Cooldowns are
 // drawn from a seeded PCG stream (deterministic per server) with jitter,
 // so a fleet of quarantined anchors does not re-probe in lockstep.
@@ -34,116 +34,93 @@ import (
 // because another anchor's score inched ahead, and soft re-elections are
 // rate-limited by a jittered cooldown of their own.
 
-// HealthConfig tunes quarantine and reference election. The zero value
-// selects the defaults noted per field.
+// HealthConfig seeds quarantine and reference election and sets the
+// straggler plane's latency smoothing. The zero value selects the
+// defaults noted per field; the state machine's thresholds are the
+// fixed defaultHealth.
 type HealthConfig struct {
-	// EWMAAlpha is the per-round smoothing factor of the health score
-	// (default 0.25: four bad rounds take a pristine anchor below the
-	// quarantine threshold).
-	EWMAAlpha float64
-	// EnterScore quarantines a healthy anchor whose score falls below it
-	// (default 0.35).
-	EnterScore float64
-	// ExitScore is the score a probationary anchor must regain before
-	// readmission (default 0.75). Must exceed EnterScore: the gap is the
-	// hysteresis band.
-	ExitScore float64
-	// CooldownRounds is the minimum rounds an anchor stays quarantined
-	// (default 6); each quarantine adds a jitter of 0..CooldownJitter
-	// rounds (default 3) drawn from the seeded stream.
-	CooldownRounds int
-	CooldownJitter int
-	// ProbationRounds is how many consecutive fully-clean rounds a
-	// probationary anchor must deliver to graduate (default 3).
-	ProbationRounds int
-	// ReelectCooldown damps soft re-elections: after any election the
-	// reference holds for at least this many rounds plus 0..CooldownJitter
-	// jitter (default 4). Forced elections (reference quarantined or
-	// silent) ignore it — localization cannot wait out a dead reference.
-	ReelectCooldown int
 	// Seed derives the jitter stream (default 1); same seed, same
 	// traffic, same cooldown draws.
 	Seed uint64
+	// LatAlpha smooths the per-anchor arrival-latency EWMA of the
+	// straggler half of the plane (default 0.3).
+	LatAlpha float64
+}
+
+// healthParams holds the thresholds of the quarantine and laggy state
+// machines. Every tracker starts from defaultHealth; only in-package
+// tests change their tracker's copy.
+type healthParams struct {
+	// ewmaAlpha is the per-round smoothing factor of the health score
+	// (0.25: four bad rounds take a pristine anchor below the
+	// quarantine threshold).
+	ewmaAlpha float64
+	// enterScore quarantines a healthy anchor whose score falls below
+	// it; exitScore is the score a probationary anchor must regain
+	// before readmission. The gap is the hysteresis band.
+	enterScore, exitScore float64
+	// cooldownRounds is the minimum rounds an anchor stays quarantined;
+	// each quarantine adds a jitter of 0..cooldownJitter rounds drawn
+	// from the seeded stream.
+	cooldownRounds, cooldownJitter int
+	// probationRounds is how many consecutive fully-clean rounds a
+	// probationary anchor must deliver to graduate.
+	probationRounds int
+	// reelectCooldown damps soft re-elections: after any election the
+	// reference holds for at least this many rounds plus
+	// 0..cooldownJitter jitter. Forced elections (reference quarantined
+	// or silent) ignore it — localization cannot wait out a dead
+	// reference.
+	reelectCooldown int
 
 	// The straggler half of the plane (DESIGN.md §12): per-anchor
 	// arrival-latency EWMAs mark slow-but-alive anchors "laggy" with the
 	// same hysteresis quarantine uses for corrupt ones, and feed the
 	// adaptive round deadline.
 
-	// LatAlpha smooths the per-anchor arrival-latency EWMA (default 0.3).
-	LatAlpha float64
-	// LaggyEnter marks an anchor laggy when its p95 arrival latency has
-	// exceeded this multiple of the fleet median p95 for LaggyRounds
-	// consecutive rounds (default 3).
-	LaggyEnter float64
-	// LaggyExit readmits a laggy anchor whose p95 has stayed below this
-	// multiple of the fleet median for LaggyRounds consecutive rounds
-	// (default 1.5). Must be below LaggyEnter: the gap is the hysteresis
-	// band.
-	LaggyExit float64
-	// LaggyRounds is the consecutive-round hysteresis on both edges of
-	// the laggy transition (default 3): one slow round never exiles an
-	// anchor, one fast round never readmits it.
-	LaggyRounds int
-	// LaggyFloor is an absolute p95 floor on both edges (default 10ms):
-	// an anchor is never marked laggy while its p95 sits below it, and a
-	// laggy anchor whose p95 drops below it always counts as punctual. On a
-	// fast fleet the relative thresholds alone would flap on scheduler
-	// noise — 3× a 0.2ms median is still noise. Negative disables the
-	// floor.
-	LaggyFloor time.Duration
-	// DeadlineHeadroom multiplies the slowest non-laggy anchor's p95
-	// latency when adapting the round deadline (default 2).
-	DeadlineHeadroom float64
+	// laggyEnter marks an anchor laggy when its p95 arrival latency has
+	// exceeded this multiple of the fleet median p95 for laggyRounds
+	// consecutive rounds; laggyExit readmits a laggy anchor whose p95
+	// has stayed below this multiple for laggyRounds consecutive rounds.
+	// The gap is the hysteresis band.
+	laggyEnter, laggyExit float64
+	// laggyRounds is the consecutive-round hysteresis on both edges of
+	// the laggy transition: one slow round never exiles an anchor, one
+	// fast round never readmits it.
+	laggyRounds int
+	// laggyFloor is an absolute p95 floor on both edges: an anchor is
+	// never marked laggy while its p95 sits below it, and a laggy anchor
+	// whose p95 drops below it always counts as punctual. On a fast
+	// fleet the relative thresholds alone would flap on scheduler noise
+	// — 3× a 0.2ms median is still noise.
+	laggyFloor time.Duration
+	// deadlineHeadroom multiplies the slowest non-laggy anchor's p95
+	// latency when adapting the round deadline.
+	deadlineHeadroom float64
+}
+
+// defaultHealth is the state machine every server runs.
+var defaultHealth = healthParams{
+	ewmaAlpha:        0.25,
+	enterScore:       0.35,
+	exitScore:        0.75,
+	cooldownRounds:   6,
+	cooldownJitter:   3,
+	probationRounds:  3,
+	reelectCooldown:  4,
+	laggyEnter:       3,
+	laggyExit:        1.5,
+	laggyRounds:      3,
+	laggyFloor:       10 * time.Millisecond,
+	deadlineHeadroom: 2,
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.25
-	}
-	if c.EnterScore <= 0 {
-		c.EnterScore = 0.35
-	}
-	if c.ExitScore <= 0 {
-		c.ExitScore = 0.75
-	}
-	if c.CooldownRounds <= 0 {
-		c.CooldownRounds = 6
-	}
-	if c.CooldownJitter < 0 {
-		c.CooldownJitter = 0
-	} else if c.CooldownJitter == 0 {
-		c.CooldownJitter = 3
-	}
-	if c.ProbationRounds <= 0 {
-		c.ProbationRounds = 3
-	}
-	if c.ReelectCooldown <= 0 {
-		c.ReelectCooldown = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.LatAlpha <= 0 || c.LatAlpha > 1 {
 		c.LatAlpha = 0.3
-	}
-	if c.LaggyEnter <= 1 {
-		c.LaggyEnter = 3
-	}
-	if c.LaggyExit <= 0 || c.LaggyExit >= c.LaggyEnter {
-		c.LaggyExit = 1.5
-		if c.LaggyExit >= c.LaggyEnter {
-			c.LaggyExit = c.LaggyEnter / 2
-		}
-	}
-	if c.LaggyRounds <= 0 {
-		c.LaggyRounds = 3
-	}
-	if c.LaggyFloor == 0 {
-		c.LaggyFloor = 10 * time.Millisecond
-	}
-	if c.DeadlineHeadroom <= 1 {
-		c.DeadlineHeadroom = 2
 	}
 	return c
 }
@@ -215,7 +192,8 @@ type lagTransition struct {
 // Not safe for concurrent use: every method is called with Server.mu held.
 type healthTracker struct {
 	cfg HealthConfig
-	rng *rand.Rand // jitter stream; guarded by Server.mu
+	p   healthParams // defaultHealth; in-package tests may change it
+	rng *rand.Rand   // jitter stream; guarded by Server.mu
 
 	anchors []anchorHealth // guarded by Server.mu
 	ref     int            // elected reference index; guarded by Server.mu
@@ -236,6 +214,7 @@ func newHealthTracker(anchors int, cfg HealthConfig) *healthTracker {
 	}
 	return &healthTracker{
 		cfg:     c,
+		p:       defaultHealth,
 		rng:     rand.New(rand.NewPCG(c.Seed, 0xB10C)),
 		anchors: state,
 	}
@@ -359,7 +338,7 @@ func (h *healthTracker) adaptiveDeadlineLocked(max time.Duration) time.Duration 
 	if !seen {
 		return max
 	}
-	d := time.Duration(h.cfg.DeadlineHeadroom * worst * float64(time.Second))
+	d := time.Duration(h.p.deadlineHeadroom * worst * float64(time.Second))
 	if floor := max / 10; d < floor {
 		d = floor
 	}
@@ -371,7 +350,7 @@ func (h *healthTracker) adaptiveDeadlineLocked(max time.Duration) time.Duration 
 
 // endLatencyRoundLocked advances the laggy state machine one round:
 // anchors whose p95 arrival latency has stayed beyond LaggyEnter times
-// the fleet median for LaggyRounds consecutive rounds are marked laggy
+// the fleet median for laggyRounds consecutive rounds are marked laggy
 // (and excluded from quorum waits by the server); laggy anchors that
 // stayed under LaggyExit times the median for as long are readmitted. At
 // most len(anchors)-2 anchors may be laggy: the estimator's two-anchor
@@ -385,12 +364,12 @@ func (h *healthTracker) endLatencyRoundLocked() []lagTransition {
 	// Both edges respect the absolute floor: relative thresholds against
 	// a sub-millisecond fleet median would otherwise mark (and trap)
 	// anchors over scheduler noise.
-	floor := h.cfg.LaggyFloor.Seconds()
-	enterThr := h.cfg.LaggyEnter * med
+	floor := h.p.laggyFloor.Seconds()
+	enterThr := h.p.laggyEnter * med
 	if enterThr < floor {
 		enterThr = floor
 	}
-	exitThr := h.cfg.LaggyExit * med
+	exitThr := h.p.laggyExit * med
 	if exitThr < floor {
 		exitThr = floor
 	}
@@ -407,7 +386,7 @@ func (h *healthTracker) endLatencyRoundLocked() []lagTransition {
 			} else {
 				st.lagOver = 0
 			}
-			if st.lagOver >= h.cfg.LaggyRounds && nonLaggy > 2 {
+			if st.lagOver >= h.p.laggyRounds && nonLaggy > 2 {
 				st.laggy, st.lagOver, st.lagUnder = true, 0, 0
 				nonLaggy--
 				h.lagMarks++
@@ -419,7 +398,7 @@ func (h *healthTracker) endLatencyRoundLocked() []lagTransition {
 			} else {
 				st.lagUnder = 0
 			}
-			if st.lagUnder >= h.cfg.LaggyRounds {
+			if st.lagUnder >= h.p.laggyRounds {
 				st.laggy, st.lagOver, st.lagUnder = false, 0, 0
 				nonLaggy++
 				h.lagReadmits++
@@ -445,7 +424,7 @@ func (h *healthTracker) stateLocked(anchor int) anchorState { return h.anchors[a
 // transitions that happened and whether the reference changed. Caller
 // holds Server.mu.
 func (h *healthTracker) endRoundLocked(seen []bool) (transitions []healthTransition, reelected bool) {
-	a := h.cfg.EWMAAlpha
+	a := h.p.ewmaAlpha
 	present := func(i int) bool {
 		if seen == nil || i >= len(seen) {
 			return h.anchors[i].roundOK+h.anchors[i].roundBad > 0
@@ -487,7 +466,7 @@ func (h *healthTracker) endRoundLocked(seen []bool) (transitions []healthTransit
 		from := st.state
 		switch st.state {
 		case anchorHealthy:
-			if st.score < h.cfg.EnterScore {
+			if st.score < h.p.enterScore {
 				h.quarantineLocked(st)
 			}
 		case anchorQuarantined:
@@ -505,7 +484,7 @@ func (h *healthTracker) endRoundLocked(seen []bool) (transitions []healthTransit
 				h.quarantineLocked(st)
 			case cleanRound:
 				st.cleanRounds++
-				if st.cleanRounds >= h.cfg.ProbationRounds && st.score >= h.cfg.ExitScore {
+				if st.cleanRounds >= h.p.probationRounds && st.score >= h.p.exitScore {
 					st.state = anchorHealthy
 					h.readmissions++
 				}
@@ -529,7 +508,7 @@ func (h *healthTracker) endRoundLocked(seen []bool) (transitions []healthTransit
 // cooldown draw. Caller holds Server.mu.
 func (h *healthTracker) quarantineLocked(st *anchorHealth) {
 	st.state = anchorQuarantined
-	st.cooldown = h.cfg.CooldownRounds + h.rng.IntN(h.cfg.CooldownJitter+1)
+	st.cooldown = h.p.cooldownRounds + h.rng.IntN(h.p.cooldownJitter+1)
 	st.cleanRounds = 0
 }
 
@@ -592,7 +571,7 @@ func (h *healthTracker) restoreLocked(st *durable.State) error {
 func (h *healthTracker) maybeReelectLocked(refSilent bool) bool {
 	ref := &h.anchors[h.ref]
 	forced := ref.state == anchorQuarantined || refSilent
-	soft := ref.state != anchorHealthy || ref.score < h.cfg.EnterScore
+	soft := ref.state != anchorHealthy || ref.score < h.p.enterScore
 	if !forced && (!soft || h.holdoff > 0) {
 		return false
 	}
@@ -610,6 +589,6 @@ func (h *healthTracker) maybeReelectLocked(refSilent bool) bool {
 	}
 	h.ref = best
 	h.reelections++
-	h.holdoff = h.cfg.ReelectCooldown + h.rng.IntN(h.cfg.CooldownJitter+1)
+	h.holdoff = h.p.reelectCooldown + h.rng.IntN(h.p.cooldownJitter+1)
 	return true
 }

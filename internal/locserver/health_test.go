@@ -10,11 +10,10 @@ import (
 // driving the tracker's round boundaries directly (no network, no clock).
 
 func newTestTracker(anchors int) *healthTracker {
-	return newHealthTracker(anchors, HealthConfig{
-		CooldownRounds: 4,
-		CooldownJitter: -1, // no jitter: deterministic cooldowns for assertions
-		Seed:           1,
-	})
+	h := newHealthTracker(anchors, HealthConfig{Seed: 1})
+	// No jitter: deterministic cooldowns for assertions.
+	h.p.cooldownRounds, h.p.cooldownJitter = 4, 0
+	return h
 }
 
 // roundOf feeds one round's worth of verdicts for every anchor and closes
@@ -65,7 +64,7 @@ func TestHealthQuarantineHysteresis(t *testing.T) {
 	if got := h.stateLocked(1); got != anchorProbation {
 		t.Fatalf("after cooldown: state %v, want probation", got)
 	}
-	// Probation: 3 clean rounds AND score recovered past ExitScore.
+	// Probation: 3 clean rounds AND score recovered past exitScore.
 	for h.stateLocked(1) == anchorProbation {
 		roundOf(h, []int{10, 10}, []int{0, 0})
 		if rounds++; rounds > 30 {
@@ -139,7 +138,7 @@ func TestHealthDegradedReferenceNotThrashed(t *testing.T) {
 	h := newTestTracker(3)
 	for r := 0; r < 10; r++ {
 		// Reference drops 3 of 10 rows every round: score settles near 0.7,
-		// well above EnterScore but far below its rivals' 1.0.
+		// well above enterScore but far below its rivals' 1.0.
 		_, re := roundOf(h, []int{7, 10, 10}, []int{3, 0, 0})
 		if re {
 			t.Fatalf("round %d: healthy above-threshold reference replaced", r)

@@ -32,8 +32,8 @@
 // unmet completes at the best degraded rung the deployment supports
 // (RoundInfo.Coarse plus RoundInfo.Tier) instead of emitting nothing.
 // Demotion is immediate; promotion back to the CSI plane is hysteretic
-// (Config.TierPromoteRounds), so consecutive fixes never flap between
-// accuracy regimes.
+// (2 consecutive CSI-grade rounds when Config.Fingerprint is set), so
+// consecutive fixes never flap between accuracy regimes.
 package locserver
 
 import (
@@ -85,17 +85,13 @@ type Config struct {
 
 	// HeartbeatInterval enables server→anchor liveness probes: every
 	// interval each authenticated connection gets a heartbeat, and a
-	// connection that misses HeartbeatMisses consecutive probes without
+	// connection that misses heartbeatMisses consecutive probes without
 	// echoing any of them is pruned. 0 disables heartbeats.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is the prune threshold (default 3).
-	HeartbeatMisses int
 
-	// Quality tunes the per-row CSI sanity pipeline; the zero value
-	// selects csi.QualityConfig's documented defaults.
-	Quality csi.QualityConfig
-	// Health tunes anchor quarantine and reference election; the zero
-	// value selects HealthConfig's documented defaults.
+	// Health seeds anchor quarantine and reference election; the zero
+	// value selects HealthConfig's documented defaults. Every row runs
+	// csi.QualityConfig's default sanity pipeline.
 	Health HealthConfig
 
 	// Checkpoint enables the durable state plane (DESIGN.md §11):
@@ -122,8 +118,8 @@ type Config struct {
 	// rounds complete early once every non-laggy anchor has reported.
 	// Requires RoundDeadline > 0.
 	AdaptiveDeadline bool
-	// Overload tunes the admission-control watermarks and tag-priority
-	// TTL; the zero value derives defaults from FixQueueDepth.
+	// Overload tunes admission control's tag-priority TTL; the zero
+	// value selects the default. Its watermarks follow FixQueueDepth.
 	Overload OverloadConfig
 	// Breaker tunes the per-anchor-link circuit breakers gating every
 	// server→anchor send (DESIGN.md §15). The zero value selects the
@@ -135,20 +131,15 @@ type Config struct {
 	// DB, internal/fingerprint). It changes two things (DESIGN.md §16):
 	// coarse rounds are stamped TierFingerprint instead of TierCentroid,
 	// and rounds whose usable-anchor count falls in
-	// [FingerprintMinAnchors, 3) complete coarsely instead of being
+	// [fingerprintMinAnchors, 3) complete coarsely instead of being
 	// evicted — partial-signature KNN works below the trilateration
-	// floor. False keeps the seed behavior bit-for-bit.
+	// floor. It also sets the ladder's promotion hysteresis: after a
+	// tag served a degraded fix, 2 consecutive CSI-grade rounds are
+	// required before it serves CSI again (the holdbacks going out at
+	// the previous degraded tier), where without it the tag promotes
+	// immediately — the pre-ladder behavior. False keeps the seed
+	// behavior bit-for-bit.
 	Fingerprint bool
-	// FingerprintMinAnchors is the coarse-completion floor when
-	// Fingerprint is set (default 2, the KNN overlap minimum).
-	FingerprintMinAnchors int
-	// TierPromoteRounds is the ladder's promotion hysteresis: after a
-	// tag served a degraded fix, this many consecutive CSI-grade rounds
-	// are required before it serves CSI again, the holdbacks going out
-	// at the previous degraded tier. Defaults to 2 when Fingerprint is
-	// set and 1 (promote immediately — the pre-ladder behavior)
-	// otherwise.
-	TierPromoteRounds int
 
 	// OnFix, when set, is called exactly once per delivered fix, after
 	// the broadcast, on the fix worker that computed it. The fleet layer
@@ -166,6 +157,14 @@ type Config struct {
 	// into the server synchronously.
 	OnPanic func(where string, v any)
 }
+
+// heartbeatMisses is how many consecutive heartbeats a connection may
+// leave unanswered before it is pruned.
+const heartbeatMisses = 3
+
+// fingerprintMinAnchors is the coarse-completion floor with
+// Config.Fingerprint: the fingerprint KNN's anchor-overlap minimum.
+const fingerprintMinAnchors = 2
 
 // Hook events: the panic-safe instrumentation points Config.Hook is
 // called at. Both sit outside every server lock, so a hook that panics
@@ -298,13 +297,15 @@ type Server struct {
 	busyTags    map[uint16]bool       // tags with a fix in flight; guarded by mu
 	fixInflight int                   // jobs popped but not finished; guarded by mu
 	mode        serveMode             // admission-control state; guarded by mu
-	ovl         OverloadConfig        // resolved watermarks (immutable after New)
+	ovl         overloadParams        // resolved watermarks (immutable after New)
 	tagHist     map[uint16]tagHistory // per-tag fix history for shed priority; guarded by mu
 	now         func() time.Time      // clock hook (tests); immutable after New
 
 	// Degradation ladder (DESIGN.md §16).
 	tiers        map[uint16]tierState // per-tag ladder hysteresis; guarded by mu
-	promoteAfter int                  // resolved TierPromoteRounds (immutable after New)
+	promoteAfter int                  // promotion hysteresis in rounds: 2 with Fingerprint, else 1 (immutable after New)
+
+	hbMisses int // heartbeat prune threshold: heartbeatMisses; guarded by mu
 
 	ckpt *CheckpointConfig // durable checkpointing; nil when disabled
 }
@@ -439,9 +440,6 @@ func NewWithListener(ln net.Listener, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("locserver: MinBands %d outside [1,%d]", cfg.MinBands, len(cfg.Bands))
 		}
 	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Store == nil {
 		return nil, errors.New("locserver: CheckpointConfig.Store required")
 	}
@@ -451,30 +449,19 @@ func NewWithListener(ln net.Listener, cfg Config) (*Server, error) {
 	if cfg.FixQueueDepth <= 0 {
 		cfg.FixQueueDepth = 64
 	}
+	if cfg.FixQueueDepth < minFixQueueDepth {
+		return nil, fmt.Errorf("locserver: FixQueueDepth %d below %d: the overload watermarks need room for their hysteresis bands",
+			cfg.FixQueueDepth, minFixQueueDepth)
+	}
 	if cfg.FixBudget < 0 {
 		return nil, fmt.Errorf("locserver: negative FixBudget %v", cfg.FixBudget)
 	}
 	if cfg.AdaptiveDeadline && cfg.RoundDeadline <= 0 {
 		return nil, errors.New("locserver: AdaptiveDeadline requires RoundDeadline > 0")
 	}
-	if cfg.FingerprintMinAnchors <= 0 {
-		cfg.FingerprintMinAnchors = 2
-	}
-	if cfg.Fingerprint && (cfg.FingerprintMinAnchors < 2 || cfg.FingerprintMinAnchors > cfg.Anchors) {
-		return nil, fmt.Errorf("locserver: FingerprintMinAnchors %d outside [2,%d]",
-			cfg.FingerprintMinAnchors, cfg.Anchors)
-	}
-	if cfg.TierPromoteRounds <= 0 {
-		if cfg.Fingerprint {
-			cfg.TierPromoteRounds = 2
-		} else {
-			cfg.TierPromoteRounds = 1
-		}
-	}
-	ovl := cfg.Overload.withDefaults(cfg.FixQueueDepth)
-	if !ovl.valid(cfg.FixQueueDepth) {
-		return nil, fmt.Errorf("locserver: invalid overload watermarks %+v for queue depth %d",
-			ovl, cfg.FixQueueDepth)
+	promoteAfter := 1
+	if cfg.Fingerprint {
+		promoteAfter = 2
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -483,7 +470,7 @@ func NewWithListener(ln net.Listener, cfg Config) (*Server, error) {
 		rounds:    make(map[roundKey]*pendingRound),
 		done:      make(map[roundKey]doneRound),
 		conns:     make(map[*client]struct{}),
-		validator: csi.NewRowValidator(cfg.Anchors, cfg.Quality),
+		validator: csi.NewRowValidator(cfg.Anchors, csi.QualityConfig{}),
 		health:    newHealthTracker(cfg.Anchors, cfg.Health),
 		fixes:     make(chan wire.Fix, 64),
 		closed:    make(chan struct{}),
@@ -491,12 +478,13 @@ func NewWithListener(ln net.Listener, cfg Config) (*Server, error) {
 		brkCfg:    cfg.Breaker.withDefaults(),
 		fq:        newFixQueue(cfg.FixQueueDepth),
 		busyTags:  make(map[uint16]bool),
-		ovl:       ovl,
+		ovl:       cfg.Overload.params(cfg.FixQueueDepth),
 		tagHist:   make(map[uint16]tagHistory),
 		now:       time.Now,
 
 		tiers:        make(map[uint16]tierState),
-		promoteAfter: cfg.TierPromoteRounds,
+		promoteAfter: promoteAfter,
+		hbMisses:     heartbeatMisses,
 	}
 	s.fixCond = sync.NewCond(&s.mu)
 	if cfg.Checkpoint != nil {
@@ -633,7 +621,7 @@ func (s *Server) heartbeatLoop() {
 				continue // hello not finished; the read path handles it
 			}
 			c.misses++
-			dead := c.misses > s.cfg.HeartbeatMisses
+			dead := c.misses > s.hbMisses
 			if dead {
 				s.stats.Pruned++
 			}
@@ -981,7 +969,7 @@ func (s *Server) finalizeLocked(rk roundKey, pr *pendingRound, full bool) (*csi.
 	case coarseOK >= 3: // RSSI trilateration floor
 		info.Coarse = true
 		s.stats.Coarse++
-	case s.cfg.Fingerprint && coarseOK >= s.cfg.FingerprintMinAnchors:
+	case s.cfg.Fingerprint && coarseOK >= fingerprintMinAnchors:
 		// Below the trilateration floor but above the KNN overlap
 		// minimum: a fingerprint-capable estimator can still match a
 		// partial signature (DESIGN.md §16), so the round completes

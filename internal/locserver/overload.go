@@ -17,8 +17,8 @@ import (
 //
 // Queue depth drives a hysteretic three-state serve mode:
 //
-//	normal ──depth ≥ DegradeHigh──▶ degraded ──depth ≥ ShedHigh──▶ shedding
-//	normal ◀──depth ≤ DegradeLow── degraded ◀──depth ≤ ShedLow─── shedding
+//	normal ──depth ≥ degradeHigh──▶ degraded ──depth ≥ shedHigh──▶ shedding
+//	normal ◀──depth ≤ degradeLow── degraded ◀──depth ≤ shedLow─── shedding
 //
 // In degraded mode completed rounds are routed to the coarse RSSI fix
 // (meters of error instead of a grid search's milliseconds of CPU — the
@@ -65,46 +65,42 @@ const trackedMinFixes = 3
 // tracked status, which is harmless).
 const maxTagHistory = 8192
 
-// OverloadConfig tunes admission control. The zero value derives every
-// watermark from the queue capacity as documented per field.
+// OverloadConfig tunes admission control. The serve-mode watermarks
+// are not configurable: they follow the fix queue's capacity
+// (overloadParams).
 type OverloadConfig struct {
-	// DegradeHigh enters degraded mode when the queue depth reaches it
-	// (default cap/2); DegradeLow returns to normal at or below it
-	// (default cap/4). The gap is the hysteresis band.
-	DegradeHigh int
-	DegradeLow  int
-	// ShedHigh enters shedding mode (default 3·cap/4); ShedLow drops
-	// back to degraded (default 3·cap/8).
-	ShedHigh int
-	ShedLow  int
 	// TrackedTTL is how recently a tag must have received a fix for its
 	// history to keep it tracked (default 30s).
 	TrackedTTL time.Duration
 }
 
-func (c OverloadConfig) withDefaults(queueCap int) OverloadConfig {
-	if c.DegradeHigh <= 0 {
-		c.DegradeHigh = queueCap / 2
-	}
-	if c.DegradeLow <= 0 {
-		c.DegradeLow = queueCap / 4
-	}
-	if c.ShedHigh <= 0 {
-		c.ShedHigh = queueCap * 3 / 4
-	}
-	if c.ShedLow <= 0 {
-		c.ShedLow = queueCap * 3 / 8
-	}
-	if c.TrackedTTL <= 0 {
-		c.TrackedTTL = 30 * time.Second
-	}
-	return c
+// overloadParams is admission control resolved against the queue
+// capacity. Degraded mode is entered when the queue depth reaches
+// degradeHigh (cap/2) and left at or below degradeLow (cap/4); shedding
+// is entered at shedHigh (3·cap/4) and dropped back to degraded at or
+// below shedLow (3·cap/8). Each gap is a hysteresis band.
+type overloadParams struct {
+	degradeHigh, degradeLow int
+	shedHigh, shedLow       int
+	trackedTTL              time.Duration
 }
 
-func (c OverloadConfig) valid(queueCap int) bool {
-	return 0 < c.DegradeLow && c.DegradeLow < c.DegradeHigh &&
-		c.DegradeHigh <= c.ShedHigh && c.ShedHigh <= queueCap &&
-		c.ShedLow < c.ShedHigh && c.ShedLow >= c.DegradeLow
+// minFixQueueDepth is the smallest queue capacity whose watermarks keep
+// both hysteresis bands open: below it degradeLow is 0.
+const minFixQueueDepth = 4
+
+func (c OverloadConfig) params(queueCap int) overloadParams {
+	p := overloadParams{
+		degradeHigh: queueCap / 2,
+		degradeLow:  queueCap / 4,
+		shedHigh:    queueCap * 3 / 4,
+		shedLow:     queueCap * 3 / 8,
+		trackedTTL:  c.TrackedTTL,
+	}
+	if p.trackedTTL <= 0 {
+		p.trackedTTL = 30 * time.Second
+	}
+	return p
 }
 
 // fixJob is one completed round waiting for localization.
@@ -213,7 +209,7 @@ type tagHistory struct {
 // be shed last. Caller holds Server.mu.
 func (s *Server) trackedLocked(tag uint16) bool {
 	h, ok := s.tagHist[tag]
-	return ok && h.fixes >= trackedMinFixes && s.now().Sub(h.last) <= s.ovl.TrackedTTL
+	return ok && h.fixes >= trackedMinFixes && s.now().Sub(h.last) <= s.ovl.trackedTTL
 }
 
 // noteFixLocked records one delivered fix in the tag's history. Caller
@@ -235,21 +231,21 @@ func (s *Server) updateModeLocked() {
 	from := s.mode
 	switch s.mode {
 	case modeNormal:
-		if depth >= s.ovl.ShedHigh {
+		if depth >= s.ovl.shedHigh {
 			s.mode = modeShedding
-		} else if depth >= s.ovl.DegradeHigh {
+		} else if depth >= s.ovl.degradeHigh {
 			s.mode = modeDegraded
 		}
 	case modeDegraded:
-		if depth >= s.ovl.ShedHigh {
+		if depth >= s.ovl.shedHigh {
 			s.mode = modeShedding
-		} else if depth <= s.ovl.DegradeLow {
+		} else if depth <= s.ovl.degradeLow {
 			s.mode = modeNormal
 		}
 	case modeShedding:
-		if depth <= s.ovl.DegradeLow {
+		if depth <= s.ovl.degradeLow {
 			s.mode = modeNormal
-		} else if depth <= s.ovl.ShedLow {
+		} else if depth <= s.ovl.shedLow {
 			s.mode = modeDegraded
 		}
 	}

@@ -36,7 +36,7 @@ func bareOverloadServer(queueCap int, ovl OverloadConfig) *Server {
 		done:     make(map[roundKey]doneRound),
 		fq:       newFixQueue(queueCap),
 		busyTags: make(map[uint16]bool),
-		ovl:      ovl.withDefaults(queueCap),
+		ovl:      ovl.params(queueCap),
 		tagHist:  make(map[uint16]tagHistory),
 		fixes:    make(chan wire.Fix, 16),
 		now:      time.Now,
@@ -67,15 +67,15 @@ func TestServeModeHysteresis(t *testing.T) {
 		}
 	}
 	step(0, modeNormal)
-	step(3, modeNormal)   // below DegradeHigh: stays
+	step(3, modeNormal)   // below degradeHigh: stays
 	step(4, modeDegraded) // enter degraded
 	step(5, modeDegraded)
 	step(3, modeDegraded) // inside the band: no flap back
-	step(2, modeNormal)   // at DegradeLow: exit
+	step(2, modeNormal)   // at degradeLow: exit
 	step(4, modeDegraded)
 	step(6, modeShedding) // enter shedding
-	step(4, modeShedding) // above ShedLow: stays shedding
-	step(3, modeDegraded) // at ShedLow: drop one level
+	step(4, modeShedding) // above shedLow: stays shedding
+	step(3, modeDegraded) // at shedLow: drop one level
 	step(2, modeNormal)
 	step(7, modeShedding) // normal can jump straight to shedding
 	if got := s.stats.ModeChanges; got != 7 {
@@ -101,7 +101,7 @@ func TestShedPriorityAccounting(t *testing.T) {
 		t.Fatalf("tracked(1)=%v tracked(2)=%v, want true/false", s.trackedLocked(1), s.trackedLocked(2))
 	}
 	// Tracked status expires with the TTL.
-	cur = base.Add(s.ovl.TrackedTTL + time.Second)
+	cur = base.Add(s.ovl.trackedTTL + time.Second)
 	if s.trackedLocked(1) {
 		t.Error("tag 1 still tracked past TrackedTTL")
 	}
@@ -274,13 +274,14 @@ func latRound(h *healthTracker, lats []time.Duration) []lagTransition {
 }
 
 // TestLaggyMarkAndReadmit drives the straggler state machine through a
-// full episode: a slow anchor is marked laggy only after LaggyRounds
+// full episode: a slow anchor is marked laggy only after laggyRounds
 // consecutive slow rounds (no single-round exile), and readmitted only
-// after LaggyRounds consecutive punctual rounds (no single-round
+// after laggyRounds consecutive punctual rounds (no single-round
 // readmission) — the same hysteresis discipline quarantine uses.
 func TestLaggyMarkAndReadmit(t *testing.T) {
 	ms := time.Millisecond
-	h := newHealthTracker(4, HealthConfig{LatAlpha: 1, LaggyRounds: 2, Seed: 1})
+	h := newHealthTracker(4, HealthConfig{LatAlpha: 1, Seed: 1})
+	h.p.laggyRounds = 2
 	slow := []time.Duration{ms, ms, ms, 60 * ms}
 	fast := []time.Duration{ms, ms, ms, ms}
 
@@ -289,19 +290,19 @@ func TestLaggyMarkAndReadmit(t *testing.T) {
 	}
 	trs := latRound(h, slow)
 	if len(trs) != 1 || trs[0].Anchor != 3 || !trs[0].Laggy {
-		t.Fatalf("transitions after %d slow rounds = %+v, want anchor 3 laggy", h.cfg.LaggyRounds, trs)
+		t.Fatalf("transitions after %d slow rounds = %+v, want anchor 3 laggy", h.p.laggyRounds, trs)
 	}
 	if h.lagMarks != 1 || !h.laggySetLocked()[3] {
 		t.Fatalf("lagMarks=%d laggy[3]=%v, want 1/true", h.lagMarks, h.laggySetLocked()[3])
 	}
 	// Recovery: the first fast round inflates the deviation EWMA (the
 	// drop from 60ms is itself a deviation), so readmission takes the
-	// EWMA settling plus LaggyRounds clean rounds — never one round.
+	// EWMA settling plus laggyRounds clean rounds — never one round.
 	if trs := latRound(h, fast); len(trs) != 0 {
 		t.Fatalf("readmitted after one fast round: %+v", trs)
 	}
 	if trs := latRound(h, fast); len(trs) != 0 {
-		t.Fatalf("readmitted before %d clean rounds: %+v", h.cfg.LaggyRounds, trs)
+		t.Fatalf("readmitted before %d clean rounds: %+v", h.p.laggyRounds, trs)
 	}
 	trs = latRound(h, fast)
 	if len(trs) != 1 || trs[0].Anchor != 3 || trs[0].Laggy {
@@ -317,7 +318,8 @@ func TestLaggyMarkAndReadmit(t *testing.T) {
 // estimator needs someone left to wait for.
 func TestLaggyQuorumFloor(t *testing.T) {
 	ms := time.Millisecond
-	h := newHealthTracker(4, HealthConfig{LatAlpha: 1, LaggyRounds: 1, Seed: 1})
+	h := newHealthTracker(4, HealthConfig{LatAlpha: 1, Seed: 1})
+	h.p.laggyRounds = 1
 	latRound(h, []time.Duration{ms, ms, ms, 60 * ms})
 	if !h.laggySetLocked()[3] {
 		t.Fatal("anchor 3 not marked")
@@ -347,10 +349,9 @@ func TestLaggyQuorumFloor(t *testing.T) {
 // signal the quarantine plane exists for.
 func TestLaggySilenceNotQuarantined(t *testing.T) {
 	ms := time.Millisecond
-	h := newHealthTracker(4, HealthConfig{
-		LatAlpha: 1, LaggyRounds: 1, Seed: 1,
-		CooldownRounds: 4, CooldownJitter: -1,
-	})
+	h := newHealthTracker(4, HealthConfig{LatAlpha: 1, Seed: 1})
+	h.p.laggyRounds = 1
+	h.p.cooldownRounds, h.p.cooldownJitter = 4, 0
 	latRound(h, []time.Duration{ms, ms, ms, 60 * ms})
 	if !h.laggySetLocked()[3] {
 		t.Fatal("anchor 3 not marked laggy")

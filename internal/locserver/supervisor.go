@@ -13,28 +13,25 @@ import (
 // checkpoint — rather than trusting whatever state the panic tore
 // through. Restart frequency drives a per-cell health state machine:
 //
-//	healthy ──DegradedRestarts in RestartWindow──▶ degraded
-//	degraded ──QuarantineRestarts in RestartWindow──▶ quarantined
-//	quarantined ──QuarantineCooldown elapsed, window drained──▶ …
+//	healthy ──degradedRestarts in RestartWindow──▶ degraded
+//	degraded ──quarantineRestarts in RestartWindow──▶ quarantined
+//	quarantined ──quarantineCooldown elapsed, window drained──▶ …
 //
 // A quarantined cell still restarts (its tags deserve service), but
 // only after sitting out the cooldown, and the fleet reports it so an
 // operator can see which shard is flapping. States decay as restarts
 // age out of the sliding window.
 
-// SupervisorConfig tunes cell restart backoff and the health state
-// machine. The zero value selects the documented defaults.
+// SupervisorConfig tunes cell restart backoff and the window the
+// health state machine judges restarts in. The zero value selects the
+// documented defaults; the rest of the supervisor is the constants
+// below.
 type SupervisorConfig struct {
 	// BackoffInitial is the delay before the first restart of a streak
-	// (default 10ms); each consecutive restart multiplies it by
-	// BackoffFactor (default 2) up to BackoffMax (default 2s).
+	// (default 10ms); each consecutive restart doubles it up to
+	// BackoffMax (default 2s).
 	BackoffInitial time.Duration
 	BackoffMax     time.Duration
-	BackoffFactor  float64
-	// Jitter spreads each backoff uniformly in [1-Jitter, 1+Jitter]
-	// (default 0.2, clamped to [0,1]) so cells killed together do not
-	// restart in lockstep.
-	Jitter float64
 	// Seed feeds the deterministic jitter stream (per-cell salted).
 	Seed uint64
 
@@ -42,15 +39,21 @@ type SupervisorConfig struct {
 	// (default 30s); a streak also resets once an incarnation survives
 	// a full window.
 	RestartWindow time.Duration
-	// DegradedRestarts marks the cell degraded at this many restarts
-	// inside the window (default 3); QuarantineRestarts quarantines it
-	// (default 6).
-	DegradedRestarts   int
-	QuarantineRestarts int
-	// QuarantineCooldown is how long a quarantined cell sits out before
-	// its restart proceeds (default 10s).
-	QuarantineCooldown time.Duration
 }
+
+// The fixed half of supervision. Each backoff is spread uniformly in
+// [1-backoffJitter, 1+backoffJitter] of its nominal value, so cells
+// killed together do not restart in lockstep. A cell is degraded at
+// degradedRestarts restarts inside the window and quarantined at
+// quarantineRestarts; a quarantined cell sits out quarantineCooldown
+// before its restart proceeds.
+const (
+	backoffFactor      float64 = 2
+	backoffJitter      float64 = 0.2
+	degradedRestarts           = 3
+	quarantineRestarts         = 6
+	quarantineCooldown         = 10 * time.Second
+)
 
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.BackoffInitial <= 0 {
@@ -62,26 +65,8 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.BackoffMax < c.BackoffInitial {
 		c.BackoffMax = c.BackoffInitial
 	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter > 1 {
-		c.Jitter = 1
-	}
 	if c.RestartWindow <= 0 {
 		c.RestartWindow = 30 * time.Second
-	}
-	if c.DegradedRestarts <= 0 {
-		c.DegradedRestarts = 3
-	}
-	if c.QuarantineRestarts <= c.DegradedRestarts {
-		c.QuarantineRestarts = 2 * c.DegradedRestarts
-	}
-	if c.QuarantineCooldown <= 0 {
-		c.QuarantineCooldown = 10 * time.Second
 	}
 	return c
 }
@@ -159,7 +144,7 @@ func (st *supState) recordRestartLocked(now time.Time) cellState {
 // age out of the window. Quarantine holds for at least the cooldown.
 // Caller holds the owning cell's mu.
 func (st *supState) stateLocked(now time.Time) cellState {
-	if st.state == cellQuarantined && now.Sub(st.lastRestart) < st.cfg.QuarantineCooldown {
+	if st.state == cellQuarantined && now.Sub(st.lastRestart) < quarantineCooldown {
 		return cellQuarantined
 	}
 	st.pruneLocked(now)
@@ -171,9 +156,9 @@ func (st *supState) stateLocked(now time.Time) cellState {
 // the owning cell's mu.
 func (st *supState) classifyLocked() cellState {
 	switch n := len(st.window); {
-	case n >= st.cfg.QuarantineRestarts:
+	case n >= quarantineRestarts:
 		return cellQuarantined
-	case n >= st.cfg.DegradedRestarts:
+	case n >= degradedRestarts:
 		return cellDegraded
 	default:
 		return cellHealthy
@@ -186,11 +171,11 @@ func (st *supState) classifyLocked() cellState {
 func (st *supState) backoffLocked() time.Duration {
 	d := float64(st.cfg.BackoffInitial)
 	for i := 1; i < st.streak && d < float64(st.cfg.BackoffMax); i++ {
-		d *= st.cfg.BackoffFactor
+		d *= backoffFactor
 	}
 	if d > float64(st.cfg.BackoffMax) {
 		d = float64(st.cfg.BackoffMax)
 	}
-	d *= 1 + st.cfg.Jitter*(2*st.rng.Float64()-1)
+	d *= 1 + backoffJitter*(2*st.rng.Float64()-1)
 	return time.Duration(d)
 }

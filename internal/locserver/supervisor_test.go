@@ -11,15 +11,10 @@ import (
 
 func supConfigForTest() SupervisorConfig {
 	return SupervisorConfig{
-		BackoffInitial:     10 * time.Millisecond,
-		BackoffMax:         time.Second,
-		BackoffFactor:      2,
-		Jitter:             0.2,
-		Seed:               7,
-		RestartWindow:      time.Minute,
-		DegradedRestarts:   3,
-		QuarantineRestarts: 6,
-		QuarantineCooldown: 30 * time.Second,
+		BackoffInitial: 10 * time.Millisecond,
+		BackoffMax:     time.Second,
+		Seed:           7,
+		RestartWindow:  time.Minute,
 	}
 }
 
@@ -43,7 +38,7 @@ func TestSupervisorStateEscalatesAndDecays(t *testing.T) {
 		t.Fatalf("restart 6: state %v, want quarantined", got)
 	}
 	// Quarantine holds through the cooldown even as the window thins.
-	if got := st.stateLocked(base.Add(5*time.Second + 10*time.Second)); got != cellQuarantined {
+	if got := st.stateLocked(base.Add(5*time.Second + quarantineCooldown/2)); got != cellQuarantined {
 		t.Fatalf("mid-cooldown state %v, want quarantined", got)
 	}
 	// Cooldown over but the window still holds all six restarts: still
@@ -101,21 +96,29 @@ func TestSupervisorBackoffGrowsAndCaps(t *testing.T) {
 
 func TestSupervisorConfigDefaults(t *testing.T) {
 	c := SupervisorConfig{}.withDefaults()
-	if c.BackoffInitial <= 0 || c.BackoffMax < c.BackoffInitial || c.BackoffFactor < 1 {
+	if c.BackoffInitial <= 0 || c.BackoffMax < c.BackoffInitial {
 		t.Fatalf("backoff defaults invalid: %+v", c)
 	}
-	if c.Jitter < 0 || c.Jitter > 1 {
-		t.Fatalf("jitter default %v outside [0,1]", c.Jitter)
+}
+
+// TestSupervisorZeroConfigJitters: the zero-value config bloc-server and
+// the cellkill drill pass still spreads each backoff by ±20%, so cells
+// killed together do not restart in lockstep.
+func TestSupervisorZeroConfigJitters(t *testing.T) {
+	nominal := SupervisorConfig{}.withDefaults().BackoffInitial
+	lo := time.Duration(float64(nominal) * 0.8)
+	hi := time.Duration(float64(nominal) * 1.2)
+	seen := map[time.Duration]bool{}
+	for salt := uint64(0); salt < 8; salt++ {
+		st := newSupState(SupervisorConfig{Seed: 1}, salt)
+		st.recordRestartLocked(time.Unix(3000, 0))
+		d := st.backoffLocked()
+		if d < lo || d > hi {
+			t.Fatalf("salt %d: backoff %v outside [%v, %v]", salt, d, lo, hi)
+		}
+		seen[d] = true
 	}
-	if c.DegradedRestarts <= 0 || c.QuarantineRestarts <= c.DegradedRestarts {
-		t.Fatalf("threshold defaults not ordered: %+v", c)
-	}
-	// Inverted explicit values are repaired, not accepted.
-	c = SupervisorConfig{DegradedRestarts: 5, QuarantineRestarts: 2, Jitter: 7}.withDefaults()
-	if c.QuarantineRestarts <= c.DegradedRestarts {
-		t.Fatalf("quarantine threshold %d not above degraded %d", c.QuarantineRestarts, c.DegradedRestarts)
-	}
-	if c.Jitter != 1 {
-		t.Fatalf("jitter %v not clamped to 1", c.Jitter)
+	if len(seen) < 2 {
+		t.Fatalf("every cell backs off %v: restarts in lockstep", nominal)
 	}
 }

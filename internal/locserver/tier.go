@@ -13,8 +13,8 @@ package locserver
 // The ladder is descended immediately — a round whose CSI quorum is
 // unmet serves at the best degraded tier available right now — but
 // climbed hysteretically: after serving degraded, a tag must produce
-// TierPromoteRounds consecutive CSI-grade rounds before the server
-// promotes it back, and the holdback rounds are served at the previous
+// promoteAfter consecutive CSI-grade rounds (2 with Config.Fingerprint,
+// 1 without) before the server promotes it back, and the holdback rounds are served at the previous
 // degraded tier. Without the hysteresis a flaky anchor link makes
 // consecutive fixes flap between a ~0.5 m CSI estimate and a ~2-4 m
 // fingerprint estimate, which a motion tracker reads as teleportation.
@@ -22,7 +22,7 @@ package locserver
 // Which degraded tier a coarse round serves at depends on
 // Config.Fingerprint: with a fingerprint DB wired in, the estimator can
 // answer TierFingerprint lookups and coarse rounds are stamped
-// accordingly (and the quorum floor drops to FingerprintMinAnchors —
+// accordingly (and the quorum floor drops to fingerprintMinAnchors —
 // KNN with partial-signature matching works below the 3-anchor
 // trilateration floor). Without it, coarse means TierCentroid, exactly
 // the seed behavior.
@@ -94,7 +94,7 @@ func (s *Server) naturalTierLocked(info RoundInfo) FixTier {
 
 // applyLadderLocked stamps one admitted fix job with its serving tier,
 // walking the tag's hysteresis state: demotions take effect on the spot,
-// promotions only after TierPromoteRounds consecutive CSI-grade rounds,
+// promotions only after promoteAfter consecutive CSI-grade rounds,
 // with the holdback rounds forced coarse and served at the previous
 // degraded rung. Runs only for jobs actually admitted to the fix queue
 // (shed rounds never move the ladder). Caller holds s.mu.

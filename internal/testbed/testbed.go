@@ -63,8 +63,7 @@ type Deployment struct {
 // Config carries the tunable parameters of New.
 type Config struct {
 	Anchors  int     // number of anchors (≥ 2)
-	Antennas int     // antennas per anchor (≥ 2)
-	Spacing  float64 // antenna spacing in meters (0 → λ/2 at 2.44 GHz)
+	Antennas int     // antennas per anchor (≥ 2), HalfWavelength apart
 	SNRdB    float64 // channel-estimate SNR referenced at 3 m (0 → noiseless)
 	Seed     uint64
 	// AntennaPhaseErrDeg is the 1-σ static per-antenna phase calibration
@@ -94,11 +93,6 @@ func New(env *rfsim.Environment, cfg Config) (*Deployment, error) {
 	if cfg.Anchors > 8 {
 		return nil, fmt.Errorf("testbed: at most 8 anchor sites supported, got %d", cfg.Anchors)
 	}
-	spacing := cfg.Spacing
-	//lint:ignore floateq unset option sentinel is exactly zero
-	if spacing == 0 {
-		spacing = HalfWavelength
-	}
 	room := env.Room
 	inset := 0.05 // arrays sit just inside the walls
 	mid := room.Center()
@@ -120,7 +114,7 @@ func New(env *rfsim.Environment, cfg Config) (*Deployment, error) {
 	}
 	anchors := make([]geom.Array, cfg.Anchors)
 	for i := range anchors {
-		anchors[i] = geom.NewArray(sites[i].center, sites[i].axis, cfg.Antennas, spacing)
+		anchors[i] = geom.NewArray(sites[i].center, sites[i].axis, cfg.Antennas, HalfWavelength)
 	}
 	noise := rfsim.NoNoise()
 	//lint:ignore floateq SNRdB == 0 selects the noiseless channel
